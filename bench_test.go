@@ -248,7 +248,7 @@ func BenchmarkSimThroughputTelemetry(b *testing.B) {
 	d0 := w.In.Domains[0]
 	links := make([]lisp.TelemetryLink, len(d0.Providers))
 	for i, p := range d0.Providers {
-		links[i] = lisp.TelemetryLink{RLOC: p.RLOC, Iface: p.EgressIface, CapacityBps: 4_000_000}
+		links[i] = lisp.TelemetryLink{RLOC: p.RLOC, Sample: p.EgressIface.GoodputBytes, CapacityBps: 4_000_000}
 	}
 	d0.XTRs[0].EnableTelemetry(lisp.TelemetryConfig{
 		Collector: d0.PCEAddr, Interval: time.Second, Links: links,

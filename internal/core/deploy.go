@@ -29,15 +29,7 @@ func (p *PCE) Engine() *irc.Engine { return p.cfg.Engine }
 // sampling is NOT started — call pce.Engine().Start() when the scenario
 // needs live utilization tracking (it keeps the event queue busy forever).
 func DeployDomain(d *topo.Domain, policy irc.Policy) *PCE {
-	return DeployDomainTTL(d, policy, 0)
-}
-
-// DeployDomainTTL is DeployDomain with an explicit mapping TTL in
-// seconds (0 = the 300s default) — the knob the failure experiments
-// sweep to give pull-based control planes a finite reconvergence
-// horizon to compare against.
-func DeployDomainTTL(d *topo.Domain, policy irc.Policy, mappingTTL uint32) *PCE {
-	return DeployDomainOpts(d, policy, DeployOptions{MappingTTL: mappingTTL})
+	return DeployDomainOpts(d, policy, DeployOptions{})
 }
 
 // DeployOptions carries the optional knobs of DeployDomainOpts.
@@ -66,13 +58,13 @@ func DeployDomainOpts(d *topo.Domain, policy irc.Policy, opts DeployOptions) *PC
 		providers[i] = &irc.Provider{
 			Name:        prov.Name,
 			RLOC:        prov.RLOC,
-			Egress:      prov.EgressIface,
+			Load:        prov.EgressIface.OfferedBytes,
 			CapacityBps: prov.CapacityBps,
 			BaseLatency: prov.CoreDelay,
 		}
 	}
 	engine := irc.NewEngine(d.PCENode.Sim(), providers, policy)
-	pce := New(d.PCENode, Config{
+	pce := NewWithRuntime(d.PCENode.Sim(), d.PCENode, Config{
 		Addr:             d.PCEAddr,
 		EIDPrefix:        d.EIDPrefix,
 		DNSAddr:          d.Resolver.Addr(),

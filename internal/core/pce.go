@@ -43,7 +43,6 @@ import (
 	"github.com/pcelisp/pcelisp/internal/obs"
 	"github.com/pcelisp/pcelisp/internal/packet"
 	"github.com/pcelisp/pcelisp/internal/runtime"
-	"github.com/pcelisp/pcelisp/internal/simnet"
 )
 
 // Config configures a domain's PCE.
@@ -64,7 +63,7 @@ type Config struct {
 	MappingTTL uint32
 	// PendingTTL bounds how long a step-1 flow waits for its mapping
 	// before being abandoned to the fallback path (default 10s).
-	PendingTTL simnet.Time
+	PendingTTL runtime.Time
 	// AuthKey, when non-nil, signs every PCECP message this PCE (and its
 	// wired xTRs) originates and rejects every inbound PCECP message that
 	// does not verify against it. It models the per-plane key
@@ -276,7 +275,7 @@ const (
 // Event is one PCE control-plane milestone.
 type Event struct {
 	Kind EventKind
-	At   simnet.Time
+	At   runtime.Time
 	Node string
 	// SrcEID/DstEID identify the flow when applicable.
 	SrcEID, DstEID netaddr.Addr
@@ -286,7 +285,7 @@ type Event struct {
 type pendingFlow struct {
 	client  netaddr.Addr
 	ingress netaddr.Addr
-	born    simnet.Time
+	born    runtime.Time
 }
 
 // PCE is one domain's Path Computation Element.
@@ -296,9 +295,6 @@ type PCE struct {
 	// code runs under the sim and the real-time daemon.
 	rt   runtime.Runtime
 	host runtime.Host
-	// node is the hosting sim node (nil in real mode); kept for sim-only
-	// call sites in experiments.
-	node *simnet.Node
 	cfg  Config
 	xtrs []*lisp.XTR
 
@@ -322,10 +318,10 @@ type PCE struct {
 	// anyway). A trie rather than a map: its walk yields addresses in
 	// ascending order, so announcement fan-out needs no sort to be
 	// deterministic.
-	subscribers *netaddr.Trie[simnet.Time]
+	subscribers *netaddr.Trie[runtime.Time]
 	// fetchBusyUntil is when the bounded MapFetch service queue drains
 	// (the MapResolver service model, applied to the PCED side).
-	fetchBusyUntil simnet.Time
+	fetchBusyUntil runtime.Time
 	// fetchQuota rate-limits MapFetch queries per source.
 	fetchQuota *lisp.SourceQuota
 	// maintArmed marks an outstanding maintenance sweep. The sweep prunes
@@ -355,14 +351,14 @@ func (p *PCE) Stats() Stats { return p.met.snapshot() }
 type pushedFlow struct {
 	src     netaddr.Addr // SrcRLOC in use (the ingress choice)
 	dst     netaddr.Addr // DstRLOC in use
-	expires simnet.Time
+	expires runtime.Time
 }
 
 // outerSeen is one lastOuter record: the outer source RLOC last observed
 // for a flow and when, so stale records can be aged out.
 type outerSeen struct {
 	src  netaddr.Addr
-	seen simnet.Time
+	seen runtime.Time
 }
 
 // fetchCtx remembers what a MapFetch was for.
@@ -382,40 +378,12 @@ const (
 	fetchMaxTries      = 4 // one initial send plus three retries
 )
 
-// New attaches a PCE to a simulator node. The node must already forward
-// the domain's DNS traffic (be "in the data path of the DNS servers").
-// It registers the sim-native sniffer and listener forms so the pooled
-// Delivery decode keeps serving the per-frame inspection hot path.
-func New(node *simnet.Node, cfg Config) *PCE {
-	p := newPCE(node.Sim(), node, cfg)
-	p.node = node
-	node.AddSniffer(p.sniff)
-	node.ListenUDP(packet.PortPCECP, func(d *simnet.Delivery, udp *packet.UDP) {
-		ip := d.IPv4()
-		p.HandleControl(ip.SrcIP, ip.DstIP, udp)
-	})
-	if cfg.Group.IsValid() {
-		node.Join(cfg.Group)
-	}
-	return p
-}
-
-// NewWithRuntime builds a PCE against the runtime contract — the real-time
-// daemon's entry point. The host must carry the domain's DNS traffic
-// through its sniffer chain (the "PCE in the data path of the DNS
+// NewWithRuntime builds a PCE against the runtime contract — the one
+// constructor both engines use (a *simnet.Node under the simulator, the
+// overlay host under cmd/lispd). The host must carry the domain's DNS
+// traffic through its sniffer chain (the "PCE in the data path of the DNS
 // servers" placement).
 func NewWithRuntime(rt runtime.Runtime, host runtime.Host, cfg Config) *PCE {
-	p := newPCE(rt, host, cfg)
-	host.AddFrameSniffer(p.SniffFrame)
-	host.BindUDP(cfg.Addr, packet.PortPCECP, p.HandleControl)
-	if cfg.Group.IsValid() {
-		host.JoinGroup(cfg.Group)
-	}
-	return p
-}
-
-// newPCE holds the construction shared by both engines.
-func newPCE(rt runtime.Runtime, host runtime.Host, cfg Config) *PCE {
 	if cfg.MappingTTL == 0 {
 		cfg.MappingTTL = 300
 	}
@@ -435,7 +403,7 @@ func newPCE(rt runtime.Runtime, host runtime.Host, cfg Config) *PCE {
 		fetches:     make(map[uint64]fetchCtx),
 		pushed:      make(map[lisp.FlowKey]pushedFlow),
 		lastOuter:   make(map[lisp.FlowKey]outerSeen),
-		subscribers: netaddr.NewTrie[simnet.Time](),
+		subscribers: netaddr.NewTrie[runtime.Time](),
 	}
 	if cfg.FetchQuotaLimit > 0 {
 		p.fetchQuota = &lisp.SourceQuota{Limit: cfg.FetchQuotaLimit}
@@ -443,11 +411,13 @@ func newPCE(rt runtime.Runtime, host runtime.Host, cfg Config) *PCE {
 	p.rec = cfg.Recorder
 	p.met.register(cfg.Obs, host.HostName())
 	p.remote.RegisterMetrics(cfg.Obs, host.HostName(), obs.Label{Key: "cache", Value: "pce-remote"})
+	host.AddFrameSniffer(p.SniffFrame)
+	host.BindUDP(cfg.Addr, packet.PortPCECP, p.HandleControl)
+	if cfg.Group.IsValid() {
+		host.JoinGroup(cfg.Group)
+	}
 	return p
 }
-
-// Node returns the PCE's sim node (nil when running in real time).
-func (p *PCE) Node() *simnet.Node { return p.node }
 
 // Addr returns the PCE's address.
 func (p *PCE) Addr() netaddr.Addr { return p.cfg.Addr }
@@ -478,7 +448,7 @@ func (p *PCE) NoteClientQuery(client netaddr.Addr, qname string) {
 		client: client, ingress: ingress, born: p.rt.Now(),
 	})
 	p.rt.ScheduleTimer(p.cfg.PendingTTL, p,
-		simnet.TimerArg{Kind: pceTimerPendingExpire, S: qname})
+		runtime.TimerArg{Kind: pceTimerPendingExpire, S: qname})
 }
 
 // NoteAnswer is the answer half of the resolver IPC: cache hits bypass
@@ -657,66 +627,43 @@ func (p *PCE) onDecap(x *lisp.XTR, info lisp.DecapInfo) {
 	x.Host().OutputUDP(x.RLOC(), p.cfg.Group, packet.PortPCECP, packet.PortPCECP, msg)
 }
 
-// sniff is the sim-native inspector form, riding the pooled Delivery
-// decode so per-frame inspection on the PCE node stays allocation-free.
-func (p *PCE) sniff(d *simnet.Delivery) simnet.SnifferVerdict {
-	ip := d.IPv4()
-	if ip == nil || ip.Protocol != packet.IPProtocolUDP {
-		return simnet.SnifferPass
-	}
-	udpl := d.Packet().Layer(packet.LayerTypeUDP)
-	if udpl == nil {
-		return simnet.SnifferPass
-	}
-	if p.sniffUDP(ip, udpl.(*packet.UDP)) {
-		return simnet.SnifferConsume
-	}
-	return simnet.SnifferPass
-}
-
-// SniffFrame is the bump-in-the-wire inspector in runtime.FrameSniffer
-// form, decoding the frame itself — the real-time host registers this one.
+// SniffFrame is the PCE's bump-in-the-wire inspector, the one frame
+// sniffer both engines register. Every frame crossing the PCE node pays
+// it, so it peeks the few header fields it needs straight from the wire
+// bytes and builds no layer structs; only frames it acts on are decoded.
 func (p *PCE) SniffFrame(data []byte) runtime.Verdict {
-	pk := packet.NewPacket(data, packet.LayerTypeIPv4, packet.NoCopy)
-	ipl := pk.Layer(packet.LayerTypeIPv4)
-	if ipl == nil {
+	sport, dport, payload, ok := packet.PeekUDPPayload(data)
+	if !ok {
 		return runtime.VerdictPass
 	}
-	ip := ipl.(*packet.IPv4)
-	if ip.Protocol != packet.IPProtocolUDP {
-		return runtime.VerdictPass
-	}
-	udpl := pk.Layer(packet.LayerTypeUDP)
-	if udpl == nil {
-		return runtime.VerdictPass
-	}
-	if p.sniffUDP(ip, udpl.(*packet.UDP)) {
+	dst, _ := packet.PeekIPv4Dst(data)
+	if p.sniffUDP(dst, sport, dport, payload) {
 		return runtime.VerdictConsume
 	}
 	return runtime.VerdictPass
 }
 
-// sniffUDP is the shared sniffer decision core; it reports whether the
-// frame was consumed.
-func (p *PCE) sniffUDP(ip *packet.IPv4, udp *packet.UDP) bool {
+// sniffUDP is the sniffer's decision core over a well-formed UDP datagram
+// to dst; it reports whether the frame was consumed.
+func (p *PCE) sniffUDP(dst netaddr.Addr, sport, dport uint16, payload []byte) bool {
 	// PCES: encapsulated replies and fetch replies to our DNSS on port P.
-	if udp.DstPort == packet.PortPCECP && ip.DstIP == p.cfg.DNSAddr {
-		return p.handlePortP(udp.LayerPayload())
+	if dport == packet.PortPCECP && dst == p.cfg.DNSAddr {
+		return p.handlePortP(payload)
 	}
 
 	// PCED: authoritative replies leaving the domain with local EIDs.
-	if udp.SrcPort == packet.PortDNS && ip.DstIP != p.cfg.DNSAddr &&
-		!p.cfg.EIDPrefix.Contains(ip.DstIP) {
-		return p.maybeEncapReply(ip, udp)
+	if sport == packet.PortDNS && dst != p.cfg.DNSAddr && !p.cfg.EIDPrefix.Contains(dst) {
+		return p.maybeEncapReply(dst, payload)
 	}
 	return false
 }
 
-// maybeEncapReply implements step 6; it reports whether the reply was
-// replaced (consumed).
-func (p *PCE) maybeEncapReply(ip *packet.IPv4, udp *packet.UDP) bool {
+// maybeEncapReply implements step 6 for a DNS reply (payload) addressed to
+// the remote DNSS at dst; it reports whether the reply was replaced
+// (consumed).
+func (p *PCE) maybeEncapReply(dst netaddr.Addr, payload []byte) bool {
 	dns := &packet.DNS{}
-	if err := dns.DecodeFromBytes(udp.LayerPayload()); err != nil || !dns.QR || !dns.AA {
+	if err := dns.DecodeFromBytes(payload); err != nil || !dns.QR || !dns.AA {
 		return false
 	}
 	ed, ok := dns.FirstA()
@@ -733,7 +680,7 @@ func (p *PCE) maybeEncapReply(ip *packet.IPv4, udp *packet.UDP) bool {
 	}
 	p.met.EncapRepliesSent.Inc()
 	p.emit(Event{Kind: EvEncapReplySent, DstEID: ed})
-	p.addSubscriber(ip.DstIP)
+	p.addSubscriber(dst)
 	msg := &packet.PCECP{
 		Version: packet.PCECPVersion, Type: packet.PCECPEncapDNSReply,
 		Nonce: p.rt.Rand().Uint64(), PCEAddr: p.cfg.Addr,
@@ -743,7 +690,7 @@ func (p *PCE) maybeEncapReply(ip *packet.IPv4, udp *packet.UDP) bool {
 	}
 	// The original DNS reply rides as the inner payload; the outer
 	// message goes to the same DNSS that the reply was addressed to.
-	p.sendControl(ip.DstIP, msg, packet.Payload(udp.LayerPayload()))
+	p.sendControl(dst, msg, packet.Payload(payload))
 	return true
 }
 
@@ -846,12 +793,12 @@ func (p *PCE) HandleControl(src, dst netaddr.Addr, udp *packet.UDP) {
 		// Bounded service queue, the MapResolver model: each fetch costs
 		// 1/rate seconds of a single deterministic server; arrivals that
 		// would wait past QueueCap service slots are shed.
-		cost := simnet.Time(time.Second) / simnet.Time(p.cfg.FetchServiceRate)
+		cost := runtime.Time(time.Second) / runtime.Time(p.cfg.FetchServiceRate)
 		start := p.fetchBusyUntil
 		if start < now {
 			start = now
 		}
-		if start-now > cost*simnet.Time(p.cfg.FetchQueueCap) {
+		if start-now > cost*runtime.Time(p.cfg.FetchQueueCap) {
 			p.met.FetchQueueDrops.Inc()
 			p.rec.Record(obs.Event{
 				At: time.Duration(now), Kind: obs.KDefenseReject, Node: p.host.HostName(),
@@ -862,7 +809,7 @@ func (p *PCE) HandleControl(src, dst netaddr.Addr, udp *packet.UDP) {
 		p.fetchBusyUntil = start + cost
 		p.met.FetchQueueDepth.Set(int64((p.fetchBusyUntil - now) / cost))
 		p.rt.ScheduleTimer(p.fetchBusyUntil-now, p,
-			simnet.TimerArg{Kind: pceTimerFetchService, P: msg})
+			runtime.TimerArg{Kind: pceTimerFetchService, P: msg})
 	case packet.PCECPReverseMapPush:
 		p.met.ReversePushes.Inc()
 		// Database update: remember the flows (metrics only; the PCED
@@ -963,7 +910,7 @@ func (p *PCE) AnnounceMappingUpdate() int {
 		return 0
 	}
 	targets := make([]netaddr.Addr, 0, p.subscribers.Len())
-	p.subscribers.Walk(func(np netaddr.Prefix, _ simnet.Time) bool {
+	p.subscribers.Walk(func(np netaddr.Prefix, _ runtime.Time) bool {
 		targets = append(targets, np.Addr())
 		return true
 	})
@@ -999,7 +946,7 @@ func (p *PCE) sendMapFetch(pced, ed netaddr.Addr, qname string) {
 	p.emit(Event{Kind: EvMapFetchSent, DstEID: ed})
 	p.transmitFetch(pced, ed, nonce)
 	p.rt.ScheduleTimer(fetchRetryInterval, p,
-		simnet.TimerArg{Kind: pceTimerFetchRetry, N: int64(nonce)})
+		runtime.TimerArg{Kind: pceTimerFetchRetry, N: int64(nonce)})
 }
 
 // transmitFetch sends (or re-sends) the MapFetch query for nonce.
@@ -1030,7 +977,7 @@ func (p *PCE) retryFetch(nonce uint64) {
 	p.met.MapFetchRetries.Inc()
 	p.transmitFetch(ctx.pced, ctx.ed, nonce)
 	p.rt.ScheduleTimer(fetchRetryInterval, p,
-		simnet.TimerArg{Kind: pceTimerFetchRetry, N: int64(nonce)})
+		runtime.TimerArg{Kind: pceTimerFetchRetry, N: int64(nonce)})
 }
 
 // learnMappings ingests the prefix mappings of a PCECP message into the
@@ -1087,8 +1034,8 @@ func (p *PCE) buildFlow(es, ed, ingress netaddr.Addr, entry *lisp.MapEntry) pack
 }
 
 // mappingTTL returns the configured mapping lifetime as virtual time.
-func (p *PCE) mappingTTL() simnet.Time {
-	return simnet.Time(p.cfg.MappingTTL) * simnet.Time(time.Second)
+func (p *PCE) mappingTTL() runtime.Time {
+	return runtime.Time(p.cfg.MappingTTL) * runtime.Time(time.Second)
 }
 
 // armMaintenance schedules one maintenance sweep MappingTTL from now, if
@@ -1098,7 +1045,7 @@ func (p *PCE) armMaintenance() {
 		return
 	}
 	p.maintArmed = true
-	p.rt.ScheduleTimer(p.mappingTTL(), p, simnet.TimerArg{Kind: pceTimerMaintenance})
+	p.rt.ScheduleTimer(p.mappingTTL(), p, runtime.TimerArg{Kind: pceTimerMaintenance})
 }
 
 // The PCE's typed timers, discriminated by TimerArg.Kind.
@@ -1115,8 +1062,8 @@ const (
 	pceTimerFetchRetry
 )
 
-// OnTimer implements simnet.TimerHandler for the PCE's timers.
-func (p *PCE) OnTimer(arg simnet.TimerArg) {
+// OnTimer implements runtime.TimerHandler for the PCE's timers.
+func (p *PCE) OnTimer(arg runtime.TimerArg) {
 	switch arg.Kind {
 	case pceTimerPendingExpire:
 		p.expirePending(arg.S)
@@ -1152,7 +1099,7 @@ func (p *PCE) runMaintenance() {
 		}
 	}
 	var idle []netaddr.Prefix
-	p.subscribers.Walk(func(np netaddr.Prefix, seen simnet.Time) bool {
+	p.subscribers.Walk(func(np netaddr.Prefix, seen runtime.Time) bool {
 		if now-seen >= ttl {
 			idle = append(idle, np)
 		}
@@ -1289,7 +1236,7 @@ func decodePCECP(payload []byte) (*packet.PCECP, bool) {
 func prefixToEntry(rt runtime.Runtime, pm packet.PCEPrefixMapping) *lisp.MapEntry {
 	e := &lisp.MapEntry{EIDPrefix: pm.Prefix, Locators: pm.Locators}
 	if pm.TTL > 0 {
-		e.Expires = rt.Now() + simnet.Time(pm.TTL)*simnet.Time(time.Second)
+		e.Expires = rt.Now() + runtime.Time(pm.TTL)*runtime.Time(time.Second)
 	}
 	return e
 }

@@ -358,7 +358,7 @@ func TestRepushMovesIngress(t *testing.T) {
 func TestPCEEngineAccessors(t *testing.T) {
 	w := newPCEWorld(t, defaultSpec())
 	p := w.pces[0]
-	if p.Engine() == nil || p.Node() == nil || !p.Addr().IsValid() {
+	if p.Engine() == nil || !p.Addr().IsValid() {
 		t.Fatal("accessors broken")
 	}
 	if len(p.XTRs()) != 1 {
@@ -413,7 +413,7 @@ func TestMapFetchEmptyFlowsNoPanic(t *testing.T) {
 		Nonce: 42, PCEAddr: w.pces[1].Addr(),
 		// Flows deliberately empty: the reply target is missing.
 	}
-	w.pces[1].Node().SendUDP(w.pces[1].Addr(), w.pces[0].Addr(),
+	w.in.Domain(1).PCENode.SendUDP(w.pces[1].Addr(), w.pces[0].Addr(),
 		packet.PortPCECP, packet.PortPCECP, msg)
 	sim.RunFor(2 * time.Second) // panics here without the guard
 	if w.pces[0].Stats().MapFetches == 0 {
@@ -425,7 +425,7 @@ func TestMapFetchEmptyFlowsNoPanic(t *testing.T) {
 		Nonce: 43, PCEAddr: w.pces[1].Addr(),
 		Flows: []packet.PCEFlowMapping{{DstEID: w.in.Domain(0).Hosts[0].Addr}},
 	}
-	w.pces[1].Node().SendUDP(w.pces[1].Addr(), w.pces[0].Addr(),
+	w.in.Domain(1).PCENode.SendUDP(w.pces[1].Addr(), w.pces[0].Addr(),
 		packet.PortPCECP, packet.PortPCECP, bad)
 	sim.RunFor(2 * time.Second)
 	// The PCE is still alive and serving: a real flow works end to end.
@@ -486,7 +486,7 @@ func TestPCEStateMapsPruned(t *testing.T) {
 	for _, d := range w.in.Domains {
 		for _, x := range d.XTRs {
 			if n := x.SeenSources(); n != 0 {
-				t.Errorf("%s: seenSources leaked %d entries", x.Node().Name(), n)
+				t.Errorf("%s: seenSources leaked %d entries", x.HostName(), n)
 			}
 		}
 	}
@@ -559,7 +559,7 @@ func TestLoadReportReachesHook(t *testing.T) {
 	}
 	links := make([]lisp.TelemetryLink, len(d0.Providers))
 	for i, p := range d0.Providers {
-		links[i] = lisp.TelemetryLink{RLOC: p.RLOC, Iface: p.EgressIface, CapacityBps: 4_000_000}
+		links[i] = lisp.TelemetryLink{RLOC: p.RLOC, Sample: p.EgressIface.GoodputBytes, CapacityBps: 4_000_000}
 	}
 	d0.XTRs[0].EnableTelemetry(lisp.TelemetryConfig{
 		Collector: d0.PCEAddr, Interval: time.Second, Links: links,

@@ -100,7 +100,7 @@ func TestEgressFlapFailover(t *testing.T) {
 	d0, d1 := w.in.Domain(0), w.in.Domain(1)
 	src, dst := d0.Hosts[0], d1.Hosts[0]
 
-	egress := d0.XTRs[0].Node().IfaceByAddr(fe.SrcRLOC)
+	egress := d0.XTRs[0].Host().(*simnet.Node).IfaceByAddr(fe.SrcRLOC)
 	if egress == nil {
 		t.Fatalf("no egress iface owns %v", fe.SrcRLOC)
 	}

@@ -192,7 +192,7 @@ func e10RunCell(cp CP, scenario string, seed int64, ps e10Params) e10Result {
 				}
 			}
 		case "egress-flap":
-			if ifc := d0.XTRs[0].Node().IfaceByAddr(srcRLOC); ifc != nil {
+			if ifc := d0.XTRs[0].Host().(*simnet.Node).IfaceByAddr(srcRLOC); ifc != nil {
 				plan.IfaceDown(ps.tFail, ifc)
 				plan.IfaceUp(ps.tFail+ps.flapLen, ifc)
 			}

@@ -378,7 +378,7 @@ func e11RunCell(cp CP, scenario string, seed int64, ps e11Params) e11Result {
 		byXTR := make(map[*lisp.XTR][]lisp.TelemetryLink)
 		for i, p := range d0.Providers {
 			byXTR[p.XTR] = append(byXTR[p.XTR], lisp.TelemetryLink{
-				RLOC: p.RLOC, Iface: p.EgressIface, CapacityBps: caps[i],
+				RLOC: p.RLOC, Sample: p.EgressIface.GoodputBytes, CapacityBps: caps[i],
 			})
 		}
 		for _, x := range d0.XTRs {

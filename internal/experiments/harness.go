@@ -419,7 +419,7 @@ func BuildWorld(cfg WorldConfig) *World {
 				if cfg.Defenses.SignReplies {
 					p.VerifyKey = replySignKey
 				}
-				xs := x.Node().Sim() // install callbacks run on the xTR's shard
+				xs := d.Router.Sim() // install callbacks run on the domain's shard
 				p.OnInstall = func(prefix netaddr.Prefix) {
 					at := xs.Now()
 					w.readyMu.Lock()
@@ -512,7 +512,7 @@ func siteFor(d *topo.Domain, ttl uint32, weights []uint8) *mapsys.Site {
 	return &mapsys.Site{
 		Prefix:   d.EIDPrefix,
 		Locators: locs,
-		Node:     d.XTRs[0].Node(),
+		Node:     d.XTRs[0].Host().(*simnet.Node),
 		Addr:     d.XTRs[0].RLOC(),
 		TTL:      ttl,
 		AuthKey:  authKey,
@@ -557,7 +557,7 @@ func (w *World) attachBaseline(sys mapsys.System) {
 				req.VerifyKey = replySignKey
 			}
 		}
-		timed := &timingResolver{inner: resolver, w: w, sim: d.XTRs[0].Node().Sim()}
+		timed := &timingResolver{inner: resolver, w: w, sim: d.Router.Sim()}
 		for _, x := range d.XTRs {
 			x.SetResolver(timed)
 		}
@@ -577,7 +577,7 @@ func (w *World) watchSite(sys mapsys.System, d *topo.Domain, site *mapsys.Site) 
 	}
 	// The watch's timer must tick on the shard owning the watched ifaces
 	// and the site's border node, not necessarily shard 0.
-	mapsys.WatchSiteLocators(d.XTRs[0].Node().Sim(), site, ifaces, func() { sys.RefreshSite(site) }).Start()
+	mapsys.WatchSiteLocators(d.Router.Sim(), site, ifaces, func() { sys.RefreshSite(site) }).Start()
 }
 
 // EnableProbing turns on RLOC probing at every xTR — the PCE control

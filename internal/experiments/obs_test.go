@@ -29,7 +29,7 @@ func TestWorldRegistry(t *testing.T) {
 		t.Fatal("no encapsulated packets after a completed flow — scenario too weak to test the registry")
 	}
 	encap, ok := reg.Value("pcelisp_xtr_encap_packets_total",
-		obs.Label{Key: "node", Value: itr.Node().Name()})
+		obs.Label{Key: "node", Value: itr.HostName()})
 	if !ok || uint64(encap) != stats.EncapPackets {
 		t.Errorf("registry encap = %v (ok=%v), Stats() = %d", encap, ok, stats.EncapPackets)
 	}

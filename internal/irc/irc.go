@@ -18,7 +18,6 @@ import (
 	"github.com/pcelisp/pcelisp/internal/netaddr"
 	"github.com/pcelisp/pcelisp/internal/packet"
 	"github.com/pcelisp/pcelisp/internal/runtime"
-	"github.com/pcelisp/pcelisp/internal/simnet"
 )
 
 // EWMA is an exponentially weighted moving average.
@@ -58,15 +57,17 @@ type Provider struct {
 	Name string
 	// RLOC is the locator address traffic uses via this provider.
 	RLOC netaddr.Addr
-	// Egress is the interface carrying outbound traffic to the provider;
-	// its counters feed the utilization estimate.
-	Egress *simnet.Iface
+	// Load samples the provider link's cumulative offered bytes (tx toward
+	// the provider, rx from it); the deltas feed the utilization estimate.
+	// Nil — a host with no per-provider counters, like lispd's single
+	// socket — leaves utilization unsampled.
+	Load func() (tx, rx uint64)
 	// CapacityBps is the provisioned capacity in bits per second.
 	CapacityBps int64
 	// CostPerMbps is the billing rate for the cost-aware policy.
 	CostPerMbps float64
 	// BaseLatency seeds the latency estimate before measurements arrive.
-	BaseLatency simnet.Time
+	BaseLatency runtime.Time
 }
 
 // ProviderState is a point-in-time snapshot handed to policies.
@@ -126,7 +127,7 @@ type Engine struct {
 	mon       []*monState
 
 	// SampleInterval is the utilization sampling period (default 1s).
-	SampleInterval simnet.Time
+	SampleInterval runtime.Time
 
 	// OnRecompute, when set, fires after every background recomputation —
 	// the PCE uses it to know fresh mappings are available.
@@ -147,8 +148,8 @@ type EngineStats struct {
 }
 
 // NewEngine builds an engine over the given providers with a policy. It
-// takes the runtime contract, so the same engine samples under the sim
-// (pass the *simnet.Sim) and under the daemon's real-time loop.
+// takes the runtime contract, so the same engine samples under the
+// simulator and under the daemon's real-time loop.
 func NewEngine(rt runtime.Runtime, providers []*Provider, policy Policy) *Engine {
 	if len(providers) == 0 {
 		panic("irc: engine needs at least one provider")
@@ -182,11 +183,11 @@ func (e *Engine) Start() {
 func (e *Engine) sampleAndRecompute() {
 	e.Sample()
 	e.recompute()
-	e.rt.ScheduleTimer(e.SampleInterval, e, simnet.TimerArg{})
+	e.rt.ScheduleTimer(e.SampleInterval, e, runtime.TimerArg{})
 }
 
-// OnTimer implements simnet.TimerHandler: the background sampling tick.
-func (e *Engine) OnTimer(simnet.TimerArg) { e.sampleAndRecompute() }
+// OnTimer implements runtime.TimerHandler: the background sampling tick.
+func (e *Engine) OnTimer(runtime.TimerArg) { e.sampleAndRecompute() }
 
 // Sample reads link counters once and updates utilization estimates.
 func (e *Engine) Sample() {
@@ -194,15 +195,14 @@ func (e *Engine) Sample() {
 	dt := float64(e.SampleInterval) / float64(time.Second)
 	for i, p := range e.providers {
 		ms := e.mon[i]
-		if p.Egress == nil || p.CapacityBps == 0 {
+		if p.Load == nil || p.CapacityBps == 0 {
 			continue
 		}
-		// Offered load on purpose (TxBytes, not DeliveredBytes): the
+		// Offered load on purpose (transmitted, not delivered, bytes): the
 		// engine ranks providers by pressure on the link, and offered
 		// load is the overload signal — goodput saturates at capacity.
 		// The te.Tracker reads goodput for the experiment figures.
-		tx := p.Egress.Counters().TxBytes
-		rx := p.Egress.Peer().Counters().TxBytes
+		tx, rx := p.Load()
 		if e.Stats.Samples > 1 {
 			ms.egressUtil.Update(float64(tx-ms.lastTxBytes) * 8 / dt / float64(p.CapacityBps))
 			ms.ingressUtil.Update(float64(rx-ms.lastRxBytes) * 8 / dt / float64(p.CapacityBps))
@@ -213,7 +213,7 @@ func (e *Engine) Sample() {
 
 // ReportLatency feeds a latency measurement for a provider (e.g. from
 // control-plane RTTs observed by the PCE).
-func (e *Engine) ReportLatency(index int, d simnet.Time) {
+func (e *Engine) ReportLatency(index int, d runtime.Time) {
 	e.mon[index].latency.Update(float64(d) / float64(time.Millisecond))
 }
 

@@ -54,9 +54,9 @@ func twoProviderWorld(t testing.TB, rateA, rateB int64) (*simnet.Sim, *simnet.No
 	dom.AddRoute(netaddr.MustParsePrefix("10.0.0.0/8"), la.A())
 	dom.AddRoute(netaddr.MustParsePrefix("11.0.0.0/8"), lb.A())
 	providers := []*Provider{
-		{Name: "A", RLOC: netaddr.MustParseAddr("10.0.0.1"), Egress: la.A(),
+		{Name: "A", RLOC: netaddr.MustParseAddr("10.0.0.1"), Load: la.A().OfferedBytes,
 			CapacityBps: rateA, CostPerMbps: 1, BaseLatency: 10 * time.Millisecond},
-		{Name: "B", RLOC: netaddr.MustParseAddr("11.0.0.1"), Egress: lb.A(),
+		{Name: "B", RLOC: netaddr.MustParseAddr("11.0.0.1"), Load: lb.A().OfferedBytes,
 			CapacityBps: rateB, CostPerMbps: 3, BaseLatency: 30 * time.Millisecond},
 	}
 	return s, dom, providers

@@ -4,7 +4,7 @@ import (
 	"time"
 
 	"github.com/pcelisp/pcelisp/internal/netaddr"
-	"github.com/pcelisp/pcelisp/internal/simnet"
+	"github.com/pcelisp/pcelisp/internal/runtime"
 )
 
 // SourceQuota is a per-source request rate limiter used by resolution
@@ -19,7 +19,7 @@ type SourceQuota struct {
 	// the quota — every request passes).
 	Limit int
 
-	win    simnet.Time
+	win    runtime.Time
 	counts map[netaddr.Addr]int
 
 	// Drops counts requests rejected over quota.
@@ -28,11 +28,11 @@ type SourceQuota struct {
 
 // Allow reports whether a request from src at the given time fits the
 // quota, consuming one slot when it does.
-func (q *SourceQuota) Allow(now simnet.Time, src netaddr.Addr) bool {
+func (q *SourceQuota) Allow(now runtime.Time, src netaddr.Addr) bool {
 	if q.Limit <= 0 {
 		return true
 	}
-	w := now / simnet.Time(time.Second)
+	w := now / runtime.Time(time.Second)
 	if w != q.win || q.counts == nil {
 		q.win = w
 		if q.counts == nil {

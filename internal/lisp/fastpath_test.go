@@ -122,7 +122,7 @@ func TestEncapFastPathAllocs(t *testing.T) {
 	if len(w.xtrS.pins) != 1 {
 		t.Fatalf("pins = %d, want 1", len(w.xtrS.pins))
 	}
-	out := w.xtrS.Node().IfaceByAddr(netaddr.MustParseAddr("10.0.0.1"))
+	out := w.xtrS.host.(*simnet.Node).IfaceByAddr(netaddr.MustParseAddr("10.0.0.1"))
 	if out == nil {
 		t.Fatal("no egress iface for the RLOC")
 	}
@@ -153,7 +153,7 @@ func TestEncapFastPathAllocsInstrumented(t *testing.T) {
 	if len(w.xtrS.pins) != 1 {
 		t.Fatalf("pins = %d, want 1", len(w.xtrS.pins))
 	}
-	out := w.xtrS.Node().IfaceByAddr(netaddr.MustParseAddr("10.0.0.1"))
+	out := w.xtrS.host.(*simnet.Node).IfaceByAddr(netaddr.MustParseAddr("10.0.0.1"))
 	if out == nil {
 		t.Fatal("no egress iface for the RLOC")
 	}

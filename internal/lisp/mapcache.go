@@ -19,7 +19,6 @@ import (
 	"github.com/pcelisp/pcelisp/internal/obs"
 	"github.com/pcelisp/pcelisp/internal/packet"
 	"github.com/pcelisp/pcelisp/internal/runtime"
-	"github.com/pcelisp/pcelisp/internal/simnet"
 )
 
 // MapEntry is one EID-prefix-to-RLOC-set mapping in an ITR's map-cache.
@@ -31,7 +30,7 @@ type MapEntry struct {
 	// cache by hand); SelectLocator memoizes the usable priority level.
 	Locators []packet.LISPLocator
 	// Expires is the absolute virtual expiry time (0 = never).
-	Expires simnet.Time
+	Expires runtime.Time
 	// Negative marks a cached resolution failure: the EID is known to be
 	// unresolvable until Expires, so misses must not re-trigger
 	// resolution (the negative-cache half of the scalability subsystem).
@@ -55,7 +54,7 @@ type MapEntry struct {
 }
 
 // Expired reports whether the entry is stale at time now.
-func (e *MapEntry) Expired(now simnet.Time) bool {
+func (e *MapEntry) Expired(now runtime.Time) bool {
 	return e.Expires != 0 && now >= e.Expires
 }
 
@@ -227,7 +226,7 @@ func (m *mapCacheMetrics) snapshot() MapCacheStats {
 
 // wheelGranularity is the timing-wheel bucket width: expired entries
 // leave the cache within this much virtual time of their TTL.
-const wheelGranularity = simnet.Time(time.Second)
+const wheelGranularity = runtime.Time(time.Second)
 
 // MapCache is the ITR's EID-to-RLOC cache: longest-prefix-match lookups,
 // TTL expiry against virtual time, and capacity eviction under a
@@ -301,7 +300,7 @@ func (c *MapCache) Len() int { return c.trie.Len() }
 func (c *MapCache) Insert(prefix netaddr.Prefix, locators []packet.LISPLocator, ttl uint32) *MapEntry {
 	e := &MapEntry{EIDPrefix: prefix, Locators: locators}
 	if ttl > 0 {
-		e.Expires = c.rt.Now() + simnet.Time(ttl)*simnet.Time(time.Second)
+		e.Expires = c.rt.Now() + runtime.Time(ttl)*runtime.Time(time.Second)
 	}
 	c.insertEntry(prefix, e)
 	c.met.Inserts.Inc()
@@ -318,7 +317,7 @@ func (c *MapCache) InsertNegative(eid netaddr.Addr, ttl uint32) *MapEntry {
 	e := &MapEntry{
 		EIDPrefix: netaddr.HostPrefix(eid),
 		Negative:  true,
-		Expires:   c.rt.Now() + simnet.Time(ttl)*simnet.Time(time.Second),
+		Expires:   c.rt.Now() + runtime.Time(ttl)*runtime.Time(time.Second),
 	}
 	c.insertEntry(e.EIDPrefix, e)
 	c.met.NegativeInserts.Inc()
@@ -484,7 +483,7 @@ type FlowEntry struct {
 	// DstRLOC is the outer destination.
 	DstRLOC netaddr.Addr
 	// Expires is the absolute expiry (0 = never).
-	Expires simnet.Time
+	Expires runtime.Time
 }
 
 // flowFast is the established-flow fast-path state for one dense slot:
@@ -521,7 +520,7 @@ func NewFlowTable(rt runtime.Runtime) *FlowTable {
 func (t *FlowTable) Insert(k FlowKey, srcRLOC, dstRLOC netaddr.Addr, ttl uint32) {
 	e := FlowEntry{SrcRLOC: srcRLOC, DstRLOC: dstRLOC}
 	if ttl > 0 {
-		e.Expires = t.rt.Now() + simnet.Time(ttl)*simnet.Time(time.Second)
+		e.Expires = t.rt.Now() + runtime.Time(ttl)*runtime.Time(time.Second)
 		t.wheel.Add(k, e.Expires)
 	}
 	if i, ok := t.index[k]; ok {

@@ -18,14 +18,14 @@ import (
 	"github.com/pcelisp/pcelisp/internal/netaddr"
 	"github.com/pcelisp/pcelisp/internal/obs"
 	"github.com/pcelisp/pcelisp/internal/packet"
-	"github.com/pcelisp/pcelisp/internal/simnet"
+	"github.com/pcelisp/pcelisp/internal/runtime"
 )
 
 // ProbeConfig tunes xTR RLOC probing.
 type ProbeConfig struct {
 	// Interval is the per-target probe period (default 1s). A probe
 	// unanswered by the next tick counts as a miss.
-	Interval simnet.Time
+	Interval runtime.Time
 	// FailAfter is the consecutive-miss count that takes a locator down
 	// (default 2) — the loss-tolerant half of the hysteresis.
 	FailAfter int
@@ -77,7 +77,7 @@ func (x *XTR) EnableProbing(cfg ProbeConfig) {
 	x.probing = true
 	x.probes = make(map[netaddr.Addr]*probeState)
 	x.host.BindUDP(x.cfg.RLOC, packet.PortRLOCProbe, x.HandleProbe)
-	x.rt.ScheduleTimer(cfg.Interval, x, simnet.TimerArg{Kind: xtrTimerProbeTick})
+	x.rt.ScheduleTimer(cfg.Interval, x, runtime.TimerArg{Kind: xtrTimerProbeTick})
 }
 
 // Probing reports whether probing is enabled.
@@ -193,7 +193,7 @@ func (x *XTR) probeTick() {
 				EIDPrefixes: []netaddr.Prefix{netaddr.HostPrefix(target)},
 			})
 	}
-	x.rt.ScheduleTimer(x.probeCfg.Interval, x, simnet.TimerArg{Kind: xtrTimerProbeTick})
+	x.rt.ScheduleTimer(x.probeCfg.Interval, x, runtime.TimerArg{Kind: xtrTimerProbeTick})
 }
 
 // HandleProbe processes probe traffic on the probe port: Map-Request

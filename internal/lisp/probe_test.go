@@ -53,11 +53,11 @@ func newProbeWorld(t *testing.T) *probeWorld {
 	core.AddRoute(netaddr.MustParsePrefix("10.1.1.0/24"), w.linkB2.B())
 
 	eidSpace := netaddr.MustParsePrefix("100.0.0.0/8")
-	w.xa = InstallXTR(na, XTRConfig{
+	w.xa = NewXTR(w.sim, na, XTRConfig{
 		RLOC: w.linkA.A().Addr(), LocalEIDs: netaddr.MustParsePrefix("100.1.0.0/16"),
 		EIDSpace: eidSpace,
 	})
-	w.xb = InstallXTR(nb, XTRConfig{
+	w.xb = NewXTR(w.sim, nb, XTRConfig{
 		RLOC: w.rlocB1, LocalEIDs: w.prefixB, EIDSpace: eidSpace,
 	})
 	w.entryB = w.xa.Cache.Insert(w.prefixB, []packet.LISPLocator{

@@ -13,17 +13,16 @@ import (
 
 	"github.com/pcelisp/pcelisp/internal/netaddr"
 	"github.com/pcelisp/pcelisp/internal/packet"
-	"github.com/pcelisp/pcelisp/internal/simnet"
+	"github.com/pcelisp/pcelisp/internal/runtime"
 )
 
 // TelemetryLink is one monitored provider attachment.
 type TelemetryLink struct {
 	// RLOC identifies the link in the reports.
 	RLOC netaddr.Addr
-	// Iface is the xTR-side interface of the provider link. Its transmit
-	// counters give the egress goodput; its peer's transmit counters give
-	// the ingress goodput (what the xTR's own RX counter would show).
-	Iface *simnet.Iface
+	// Sample reads the provider link's cumulative goodput counters: bytes
+	// delivered toward the provider (out) and toward the xTR (in).
+	Sample func() (out, in uint64)
 	// CapacityBps is echoed in the reports so the collector can
 	// normalize without per-link configuration.
 	CapacityBps int64
@@ -36,7 +35,7 @@ type TelemetryConfig struct {
 	// Collector receives the reports on port P.
 	Collector netaddr.Addr
 	// Interval is the sampling/reporting period (default 1s).
-	Interval simnet.Time
+	Interval runtime.Time
 	// Links are the provider attachments to sample.
 	Links []TelemetryLink
 }
@@ -55,10 +54,9 @@ func (x *XTR) EnableTelemetry(cfg TelemetryConfig) {
 	x.telemetry = &cfg
 	for i := range cfg.Links {
 		l := &cfg.Links[i]
-		l.lastOut = l.Iface.Counters().DeliveredBytes
-		l.lastIn = l.Iface.Peer().Counters().DeliveredBytes
+		l.lastOut, l.lastIn = l.Sample()
 	}
-	x.rt.ScheduleTimer(cfg.Interval, x, simnet.TimerArg{Kind: xtrTimerTelemetry})
+	x.rt.ScheduleTimer(cfg.Interval, x, runtime.TimerArg{Kind: xtrTimerTelemetry})
 }
 
 // telemetryTick samples every link and ships one LoadReport.
@@ -67,14 +65,13 @@ func (x *XTR) telemetryTick() {
 	loads := make([]packet.PCELoadRecord, len(cfg.Links))
 	for i := range cfg.Links {
 		l := &cfg.Links[i]
-		out := l.Iface.Counters().DeliveredBytes
-		in := l.Iface.Peer().Counters().DeliveredBytes
+		out, in := l.Sample()
 		loads[i] = packet.PCELoadRecord{
 			RLOC:        l.RLOC,
 			OutBytes:    out - l.lastOut,
 			InBytes:     in - l.lastIn,
 			CapacityBps: uint64(l.CapacityBps),
-			WindowMs:    uint32(cfg.Interval / simnet.Time(time.Millisecond)),
+			WindowMs:    uint32(cfg.Interval / runtime.Time(time.Millisecond)),
 		}
 		l.lastOut, l.lastIn = out, in
 	}
@@ -82,9 +79,8 @@ func (x *XTR) telemetryTick() {
 		Version: packet.PCECPVersion, Type: packet.PCECPLoadReport,
 		Nonce: x.rt.Rand().Uint64(), Loads: loads,
 	}
-	data := simnet.EncodeUDP(x.cfg.RLOC, cfg.Collector, packet.PortPCECP, packet.PortPCECP, msg)
+	n := x.host.OutputUDP(x.cfg.RLOC, cfg.Collector, packet.PortPCECP, packet.PortPCECP, msg)
 	x.met.TelemetryReports.Inc()
-	x.met.TelemetryBytes.Add(uint64(len(data)))
-	x.host.Output(data)
-	x.rt.ScheduleTimer(cfg.Interval, x, simnet.TimerArg{Kind: xtrTimerTelemetry})
+	x.met.TelemetryBytes.Add(uint64(n))
+	x.rt.ScheduleTimer(cfg.Interval, x, runtime.TimerArg{Kind: xtrTimerTelemetry})
 }

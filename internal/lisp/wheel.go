@@ -2,7 +2,6 @@ package lisp
 
 import (
 	"github.com/pcelisp/pcelisp/internal/runtime"
-	"github.com/pcelisp/pcelisp/internal/simnet"
 )
 
 // TimingWheel batches TTL expirations into coarse virtual-time buckets so
@@ -19,14 +18,14 @@ import (
 // are harmless.
 type TimingWheel[K comparable] struct {
 	rt          runtime.Runtime
-	granularity simnet.Time
+	granularity runtime.Time
 	buckets     map[int64][]K
 	flush       func(keys []K)
 }
 
 // NewTimingWheel builds a wheel; flush receives each bucket's keys when
 // its deadline passes. granularity must be positive.
-func NewTimingWheel[K comparable](rt runtime.Runtime, granularity simnet.Time, flush func(keys []K)) *TimingWheel[K] {
+func NewTimingWheel[K comparable](rt runtime.Runtime, granularity runtime.Time, flush func(keys []K)) *TimingWheel[K] {
 	if granularity <= 0 {
 		panic("lisp: non-positive timing-wheel granularity")
 	}
@@ -40,7 +39,7 @@ func NewTimingWheel[K comparable](rt runtime.Runtime, granularity simnet.Time, f
 
 // Add registers key k to be flushed at (or one granularity after) the
 // absolute virtual time expires. Non-positive expiry means "never".
-func (w *TimingWheel[K]) Add(k K, expires simnet.Time) {
+func (w *TimingWheel[K]) Add(k K, expires runtime.Time) {
 	if expires <= 0 {
 		return
 	}
@@ -50,11 +49,11 @@ func (w *TimingWheel[K]) Add(k K, expires simnet.Time) {
 		return
 	}
 	w.buckets[b] = []K{k}
-	w.rt.TimerAt(simnet.Time(b)*w.granularity, w, simnet.TimerArg{N: b})
+	w.rt.TimerAt(runtime.Time(b)*w.granularity, w, runtime.TimerArg{N: b})
 }
 
 // OnTimer flushes the bucket named by arg.N when its deadline passes.
-func (w *TimingWheel[K]) OnTimer(arg simnet.TimerArg) {
+func (w *TimingWheel[K]) OnTimer(arg runtime.TimerArg) {
 	keys := w.buckets[arg.N]
 	delete(w.buckets, arg.N)
 	if len(keys) > 0 {

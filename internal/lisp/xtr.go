@@ -7,7 +7,6 @@ import (
 	"github.com/pcelisp/pcelisp/internal/obs"
 	"github.com/pcelisp/pcelisp/internal/packet"
 	"github.com/pcelisp/pcelisp/internal/runtime"
-	"github.com/pcelisp/pcelisp/internal/simnet"
 )
 
 // MissPolicy selects what an ITR does with packets that miss the
@@ -247,7 +246,7 @@ type XTRConfig struct {
 	QueueCapPerEID int
 	// QueueTimeout bounds how long packets wait for a mapping
 	// (default 3s).
-	QueueTimeout simnet.Time
+	QueueTimeout runtime.Time
 	// NegativeTTL is the negative-cache lifetime in seconds for failed
 	// resolutions (default 5). DisableNegativeCache turns it off.
 	NegativeTTL          uint32
@@ -278,16 +277,13 @@ type XTRConfig struct {
 
 // XTR is a LISP tunnel router combining the ITR (encapsulate) and ETR
 // (decapsulate) roles, as border routers do in practice and in the paper's
-// Fig. 1. Install it on a border node with InstallXTR.
+// Fig. 1. Install it on a border host with NewXTR.
 type XTR struct {
 	// rt and host are the runtime seam: every clock read, timer arm and
 	// frame emission goes through them, so the same state machine runs
 	// under the deterministic sim and the real-time overlay daemon.
 	rt   runtime.Runtime
 	host runtime.Host
-	// node is the hosting sim node when running under the simulator, nil
-	// in real mode. Only sim-bound extras (link telemetry) touch it.
-	node *simnet.Node
 	cfg  XTRConfig
 
 	// Cache is the EID-prefix map-cache.
@@ -329,12 +325,12 @@ type XTR struct {
 	// self-disarming timer so long-running simulations hold steady
 	// memory; a pruned flow's next packet counts as First again (its
 	// mapping state has aged out everywhere else too).
-	seenSources map[FlowKey]simnet.Time
-	seenTTL     simnet.Time
+	seenSources map[FlowKey]runtime.Time
+	seenTTL     runtime.Time
 	seenArmed   bool
 
 	// Glean rate-limit window state (see XTRConfig.GleanRateLimit).
-	gleanWin   simnet.Time
+	gleanWin   runtime.Time
 	gleanCount int
 
 	// Serialization scratch reused across encaps: the Sim is single-
@@ -374,7 +370,7 @@ func (x *XTR) Stats() XTRStats { return x.met.snapshot() }
 
 type queuedPacket struct {
 	data     []byte
-	deadline simnet.Time
+	deadline runtime.Time
 }
 
 // flowPin is one established flow's pinned encap state.
@@ -390,19 +386,11 @@ type flowPin struct {
 // bounded memory in million-flow worlds.
 const maxFlowPins = 8192
 
-// InstallXTR attaches LISP tunnel-router behaviour to a simulator node: a
-// sniffer intercepts outbound EID-destined packets for encapsulation, and
-// a UDP handler on port 4341 decapsulates inbound tunnels.
-func InstallXTR(node *simnet.Node, cfg XTRConfig) *XTR {
-	x := NewXTR(node.Sim(), node, cfg)
-	x.node = node
-	return x
-}
-
-// NewXTR builds a tunnel router against the runtime contract — the entry
-// point shared by the simulator (via InstallXTR) and the real-time daemon
-// (cmd/lispd). It registers the outbound intercept sniffer and the port
-// 4341 decap fast path on the host.
+// NewXTR builds a tunnel router against the runtime contract — the one
+// constructor both engines use (a *simnet.Node under the simulator, the
+// overlay host under cmd/lispd). It registers the outbound intercept
+// sniffer, which encapsulates EID-destined packets leaving the site, and
+// the port 4341 decap fast path on the host.
 func NewXTR(rt runtime.Runtime, host runtime.Host, cfg XTRConfig) *XTR {
 	if cfg.QueueCapPerEID == 0 {
 		cfg.QueueCapPerEID = 8
@@ -429,7 +417,7 @@ func NewXTR(rt runtime.Runtime, host runtime.Host, cfg XTRConfig) *XTR {
 		queue:       make(map[netaddr.Addr][]queuedPacket),
 		queueTimer:  make(map[netaddr.Addr]bool),
 		resolving:   make(map[netaddr.Addr]bool),
-		seenSources: make(map[FlowKey]simnet.Time),
+		seenSources: make(map[FlowKey]runtime.Time),
 		pins:        make(map[FlowKey]flowPin),
 		rec:         cfg.Recorder,
 	}
@@ -440,9 +428,6 @@ func NewXTR(rt runtime.Runtime, host runtime.Host, cfg XTRConfig) *XTR {
 	host.BindUDPRaw(packet.PortLISPData, x.DecapFrame)
 	return x
 }
-
-// Node returns the hosting sim node (nil when running in real time).
-func (x *XTR) Node() *simnet.Node { return x.node }
 
 // Host returns the runtime host the xTR is bound to.
 func (x *XTR) Host() runtime.Host { return x.host }
@@ -466,7 +451,7 @@ func (x *XTR) LocalEIDs() netaddr.Prefix { return x.cfg.LocalEIDs }
 // SetSeenTTL bounds the lifetime of first-packet flow records (0 = keep
 // forever). The PCE control plane ties this to its mapping TTL when it
 // wires the xTR.
-func (x *XTR) SetSeenTTL(ttl simnet.Time) {
+func (x *XTR) SetSeenTTL(ttl runtime.Time) {
 	x.seenTTL = ttl
 	if len(x.seenSources) > 0 {
 		x.armSeenPrune()
@@ -490,8 +475,8 @@ const (
 	xtrTimerTelemetry
 )
 
-// OnTimer implements simnet.TimerHandler for the xTR's timers.
-func (x *XTR) OnTimer(arg simnet.TimerArg) {
+// OnTimer implements runtime.TimerHandler for the xTR's timers.
+func (x *XTR) OnTimer(arg runtime.TimerArg) {
 	switch arg.Kind {
 	case xtrTimerSeenPrune:
 		x.pruneSeen()
@@ -512,7 +497,7 @@ func (x *XTR) armSeenPrune() {
 		return
 	}
 	x.seenArmed = true
-	x.rt.ScheduleTimer(x.seenTTL, x, simnet.TimerArg{Kind: xtrTimerSeenPrune})
+	x.rt.ScheduleTimer(x.seenTTL, x, runtime.TimerArg{Kind: xtrTimerSeenPrune})
 }
 
 // pruneSeen drops first-packet flow records older than seenTTL, re-arming
@@ -652,9 +637,9 @@ func (x *XTR) dropOnMiss(dst netaddr.Addr, data []byte) {
 
 // armQueueExpiry schedules the single outstanding expiry timer for dst's
 // queue at the given absolute deadline.
-func (x *XTR) armQueueExpiry(dst netaddr.Addr, at simnet.Time) {
+func (x *XTR) armQueueExpiry(dst netaddr.Addr, at runtime.Time) {
 	x.queueTimer[dst] = true
-	x.rt.TimerAt(at, x, simnet.TimerArg{Kind: xtrTimerQueueExpiry, N: int64(dst)})
+	x.rt.TimerAt(at, x, runtime.TimerArg{Kind: xtrTimerQueueExpiry, N: int64(dst)})
 }
 
 // expireQueue drops timed-out packets for dst and re-arms the timer at
@@ -750,7 +735,7 @@ func (x *XTR) InstallMapping(entry *MapEntry) bool {
 		if remaining <= 0 {
 			return false
 		}
-		ttl = uint32(remaining / simnet.Time(time.Second))
+		ttl = uint32(remaining / runtime.Time(time.Second))
 		if ttl == 0 {
 			ttl = 1
 		}
@@ -844,7 +829,7 @@ func (x *XTR) gleanAllowed() bool {
 	if x.cfg.GleanRateLimit <= 0 {
 		return true
 	}
-	w := x.rt.Now() / simnet.Time(time.Second)
+	w := x.rt.Now() / runtime.Time(time.Second)
 	if w != x.gleanWin {
 		x.gleanWin, x.gleanCount = w, 0
 	}

@@ -72,8 +72,8 @@ func newLISPWorld(t testing.TB, cfgS XTRConfig) *lispWorld {
 	}
 	cfgS.LocalEIDs = netaddr.MustParsePrefix("100.1.0.0/16")
 	cfgS.EIDSpace = eidSpace()
-	w.xtrS = InstallXTR(xtrSNode, cfgS)
-	w.xtrD = InstallXTR(xtrDNode, XTRConfig{
+	w.xtrS = NewXTR(s, xtrSNode, cfgS)
+	w.xtrD = NewXTR(s, xtrDNode, XTRConfig{
 		RLOC:      netaddr.MustParseAddr("12.0.0.1"),
 		LocalEIDs: netaddr.MustParsePrefix("100.2.0.0/16"),
 		EIDSpace:  eidSpace(),
@@ -297,7 +297,7 @@ func TestDecapRejectsForeignInnerDst(t *testing.T) {
 	outerUDP := &packet.UDP{SrcPort: packet.PortLISPData, DstPort: packet.PortLISPData}
 	outerUDP.SetNetworkLayerForChecksum(outerIP)
 	data := packet.Serialize(outerIP, outerUDP, &packet.LISP{}, packet.Payload(inner))
-	w.xtrS.Node().Send(data)
+	w.xtrS.host.(*simnet.Node).Send(data)
 	w.sim.Run()
 	if w.xtrD.Stats().DecapPackets != 0 {
 		t.Fatalf("foreign inner dst decapsulated: %d", w.xtrD.Stats().DecapPackets)
@@ -324,9 +324,9 @@ func TestIntraSiteTrafficNotEncapsulated(t *testing.T) {
 	w := newLISPWorld(t, XTRConfig{MissPolicy: MissDrop})
 	// hS -> another host in its own site: the xTR must not intercept.
 	got := false
-	w.xtrS.Node().Ifaces() // silence unused warnings in some configs
+	w.xtrS.host.(*simnet.Node).Ifaces() // silence unused warnings in some configs
 	w.hS.SendUDP(w.eidS, netaddr.MustParseAddr("100.1.0.254"), 1, 2222, packet.Payload("local"))
-	w.xtrS.Node().ListenUDP(2222, func(*simnet.Delivery, *packet.UDP) { got = true })
+	w.xtrS.host.(*simnet.Node).ListenUDP(2222, func(*simnet.Delivery, *packet.UDP) { got = true })
 	w.sim.Run()
 	if !got {
 		t.Fatal("intra-site traffic must be delivered")

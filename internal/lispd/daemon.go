@@ -106,7 +106,7 @@ func New(cfg *Config) (*Daemon, error) {
 					RLOC:        netaddr.MustParseAddr(l.RLOC),
 					CapacityBps: l.CapacityBps,
 					BaseLatency: base,
-					// Egress stays nil: the real host has no per-provider
+					// Load stays nil: the real host has no per-provider
 					// interface counters; Sample() nil-guards.
 				})
 			}

@@ -315,7 +315,7 @@ func TestNERDPushAndStaleness(t *testing.T) {
 	sys := NewNERDSystem(authority, testKey)
 
 	// Give site 0 a data-plane xTR fed by the poller.
-	xtr := lisp.InstallXTR(w.sites[0].Node, lisp.XTRConfig{
+	xtr := lisp.NewXTR(w.sites[0].Node.Sim(), w.sites[0].Node, lisp.XTRConfig{
 		RLOC:      w.sites[0].Addr,
 		LocalEIDs: w.sites[0].Prefix,
 		EIDSpace:  netaddr.MustParsePrefix("100.0.0.0/8"),

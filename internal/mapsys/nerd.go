@@ -265,7 +265,7 @@ func (s *NERDSystem) RefreshSite(site *Site) {
 
 // WireXTR starts the delta poller feeding the xTR's map-cache.
 func (s *NERDSystem) WireXTR(xtr *lisp.XTR) *NERDPoller {
-	node := xtr.Node()
+	node := xtr.Host().(*simnet.Node) // NERD pollers are sim-only
 	if p, ok := s.pollers[node]; ok {
 		return p
 	}

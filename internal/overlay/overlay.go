@@ -30,7 +30,8 @@ import (
 // Stats is a snapshot of host activity; read it via Host.Stats.
 type Stats struct {
 	RxFrames      uint64
-	TxFrames      uint64
+	TxFrames      uint64 // frames the socket accepted toward a peer
+	TxErrors      uint64 // frames the socket refused (write error)
 	Consumed      uint64 // frames consumed by a sniffer
 	NoRoute       uint64 // frames with no local bind and no peer route
 	Unhandled     uint64 // local frames with no matching binding
@@ -44,6 +45,7 @@ type Stats struct {
 type hostMetrics struct {
 	RxFrames      obs.Counter
 	TxFrames      obs.Counter
+	TxErrors      obs.Counter
 	Consumed      obs.Counter
 	NoRoute       obs.Counter
 	Unhandled     obs.Counter
@@ -55,6 +57,7 @@ func (m *hostMetrics) register(r *obs.Registry, node string) {
 	l := obs.Label{Key: "node", Value: node}
 	r.RegisterCounter("pcelisp_overlay_rx_frames_total", "Frames received by the host socket (including loopback deliveries).", &m.RxFrames, l)
 	r.RegisterCounter("pcelisp_overlay_tx_frames_total", "Frames forwarded to a peer socket.", &m.TxFrames, l)
+	r.RegisterCounter("pcelisp_overlay_tx_errors_total", "Frames dropped because the socket write to the peer failed.", &m.TxErrors, l)
 	r.RegisterCounter("pcelisp_overlay_consumed_total", "Frames consumed by a sniffer (PCE bump-in-the-wire).", &m.Consumed, l)
 	r.RegisterCounter("pcelisp_overlay_no_route_drops_total", "Frames dropped with no local bind and no peer route.", &m.NoRoute, l)
 	r.RegisterCounter("pcelisp_overlay_unhandled_total", "Local frames with no matching binding.", &m.Unhandled, l)
@@ -66,6 +69,7 @@ func (m *hostMetrics) snapshot() Stats {
 	return Stats{
 		RxFrames:      m.RxFrames.Load(),
 		TxFrames:      m.TxFrames.Load(),
+		TxErrors:      m.TxErrors.Load(),
 		Consumed:      m.Consumed.Load(),
 		NoRoute:       m.NoRoute.Load(),
 		Unhandled:     m.Unhandled.Load(),
@@ -110,14 +114,16 @@ type Host struct {
 	Logf func(format string, args ...any)
 
 	// dropLogged dedups drop diagnostics: one log line per (reason,
-	// source) pair, bounded so a spoofed-source flood cannot grow it
+	// address) pair, bounded so a spoofed-source flood cannot grow it
 	// without limit. Loop-goroutine confined, like the drop paths.
 	dropLogged map[dropKey]struct{}
 }
 
+// dropKey names one logged drop cause: the frame's inner source for
+// receive-side drops, its inner destination for failed socket writes.
 type dropKey struct {
 	reason string
-	src    netaddr.Addr
+	addr   netaddr.Addr
 }
 
 // maxDropLogSources bounds dropLogged; past it, drops are still counted
@@ -162,7 +168,13 @@ func (h *Host) RegisterMetrics(r *obs.Registry) {
 // per-frame logging would melt under a flood.
 func (h *Host) logDrop(reason string, data []byte) {
 	src, _ := packet.PeekIPv4Src(data) // invalid addr = "unparseable source"
-	k := dropKey{reason: reason, src: src}
+	h.logDropOnce(reason, "from", src)
+}
+
+// logDropOnce is the bounded dedup behind every drop diagnostic; dir says
+// whether addr is where the dropped frames came "from" or were headed "to".
+func (h *Host) logDropOnce(reason, dir string, addr netaddr.Addr) {
+	k := dropKey{reason: reason, addr: addr}
 	if _, seen := h.dropLogged[k]; seen || len(h.dropLogged) >= maxDropLogSources {
 		return
 	}
@@ -171,7 +183,7 @@ func (h *Host) logDrop(reason string, data []byte) {
 	if logf == nil {
 		logf = log.Printf
 	}
-	logf("overlay %s: dropping frames from %v: %s (further drops from this source counted but not logged)", h.name, src, reason)
+	logf("overlay %s: dropping frames %s %v: %s (further such drops counted but not logged)", h.name, dir, addr, reason)
 }
 
 // RealAddr returns the socket's real address (for peering other hosts).
@@ -326,8 +338,12 @@ func (h *Host) forward(dst netaddr.Addr, data []byte) {
 		h.logDrop("no peer route", data)
 		return
 	}
+	if _, err := h.conn.WriteToUDP(data, ra); err != nil {
+		h.met.TxErrors.Inc()
+		h.logDropOnce("socket write failed: "+err.Error(), "to", dst)
+		return
+	}
 	h.met.TxFrames.Inc()
-	h.conn.WriteToUDP(data, ra)
 }
 
 // HostName implements runtime.Host.

@@ -138,3 +138,53 @@ func TestDropLogBounded(t *testing.T) {
 		t.Fatalf("dropLogged = %d entries, want bounded at %d", got, maxDropLogSources)
 	}
 }
+
+// TestSocketWriteErrorCountedNotAsSent is the regression test for the
+// discarded WriteToUDP error: a frame the socket refuses used to count as
+// transmitted. It must count as a tx error instead, and log once per
+// destination.
+func TestSocketWriteErrorCountedNotAsSent(t *testing.T) {
+	h, reg, logs := testHost(t)
+
+	src := netaddr.MustParseAddr("10.0.0.1")
+	dstA := netaddr.MustParseAddr("192.0.2.1")
+	dstB := netaddr.MustParseAddr("192.0.2.2")
+	h.SetPeer(netaddr.MustParsePrefix("192.0.2.0/24"), h.RealAddr())
+	frameA := runtime.EncodeUDP(src, dstA, 4000, 4001)
+	frameB := runtime.EncodeUDP(src, dstB, 4000, 4001)
+
+	h.loop.Post(func() { h.Output(frameA) })
+	loopSync(h)
+	if st := h.Stats(); st.TxFrames != 1 || st.TxErrors != 0 {
+		t.Fatalf("open socket: TxFrames=%d TxErrors=%d, want 1, 0", st.TxFrames, st.TxErrors)
+	}
+
+	h.conn.Close() // every write from here on fails
+	for i := 0; i < 3; i++ {
+		h.loop.Post(func() { h.Output(frameA) })
+	}
+	h.loop.Post(func() { h.Output(frameB) })
+	loopSync(h)
+
+	if st := h.Stats(); st.TxFrames != 1 || st.TxErrors != 4 {
+		t.Fatalf("closed socket: TxFrames=%d TxErrors=%d, want 1, 4", st.TxFrames, st.TxErrors)
+	}
+	if v, ok := reg.Value("pcelisp_overlay_tx_errors_total", obs.Label{Key: "node", Value: "h1"}); !ok || v != 4 {
+		t.Fatalf("registry tx_errors = %v, %v; want 4, true", v, ok)
+	}
+	var aLines, bLines int
+	for _, l := range logs() {
+		if !strings.Contains(l, "socket write failed") {
+			t.Fatalf("unexpected log line %q", l)
+		}
+		if strings.Contains(l, "to "+dstA.String()+":") {
+			aLines++
+		}
+		if strings.Contains(l, "to "+dstB.String()+":") {
+			bLines++
+		}
+	}
+	if aLines != 1 || bLines != 1 {
+		t.Fatalf("write-error log lines: dstA=%d dstB=%d, want exactly 1 each\n%v", aLines, bLines, logs())
+	}
+}

@@ -178,6 +178,7 @@ func (l *Loop) run() {
 	idle := time.NewTimer(time.Hour)
 	defer idle.Stop()
 	var batch []func()
+	var due []loopTimer
 	for {
 		l.mu.Lock()
 		if l.stopped {
@@ -188,7 +189,7 @@ func (l *Loop) run() {
 		// the sim likewise sort ahead of later-armed timers.
 		batch, l.posted = l.posted, batch[:0]
 		now := l.Now()
-		var due []loopTimer
+		due = due[:0]
 		for len(l.timers) > 0 && l.timers[0].at <= now {
 			due = append(due, l.timers.pop())
 		}
@@ -204,7 +205,13 @@ func (l *Loop) run() {
 		for i := range due {
 			due[i].h.OnTimer(due[i].arg)
 		}
-		if len(batch) > 0 || len(due) > 0 {
+		ran := len(batch) > 0 || len(due) > 0
+		// Both slices are recycled; zero what just ran so a burst's closures
+		// (each pinning a received frame) and timer payloads are collectable
+		// now rather than when an equally large burst overwrites them.
+		clear(batch)
+		clear(due)
+		if ran {
 			continue // running work may have queued more
 		}
 

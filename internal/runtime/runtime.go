@@ -1,7 +1,7 @@
-// Package runtime defines the execution contract the protocol layer
-// (internal/lisp, internal/core, internal/mapsys) is written against:
-// a monotonic clock with a typed-timer scheduler, and a host that can
-// emit and receive IPv4/UDP frames. Two implementations exist:
+// Package runtime defines the execution contract the protocol core
+// (internal/lisp, internal/core, internal/irc) is written against: a
+// monotonic clock with a typed-timer scheduler, and a host that can emit
+// and receive IPv4/UDP frames. Two implementations exist:
 //
 //   - the deterministic discrete-event engine (*simnet.Sim / *simnet.Node),
 //     which satisfies these interfaces unchanged — the simulator's
@@ -10,8 +10,11 @@
 //     backed by Go timers and net.UDPConn, used by cmd/lispd.
 //
 // The protocol state machines hold a Runtime and a Host and never import
-// simnet directly; everything else (packet codecs, address types) is
-// shared between both worlds already.
+// simnet directly (CI lints the import graph); each component has one
+// constructor taking the pair, so the simulator and the daemon run the
+// same code. Everything else (packet codecs, address types) is shared
+// between both worlds already. The pull mapping systems in internal/mapsys
+// are still simulator-bound.
 package runtime
 
 import (
@@ -170,20 +173,4 @@ func EncodeUDP(src, dst netaddr.Addr, sport, dport uint16, app ...packet.Seriali
 		}
 	}
 	return packet.Serialize(layers...)
-}
-
-// Endpoint is a minimal datagram transport between control-plane peers,
-// generalizing wire.Transport: Send delivers an opaque payload to a peer
-// address, and the handler receives payloads with their source. It exists
-// so code written for the loopback wire harness can also ride a Host.
-type Endpoint interface {
-	// LocalAddr returns the endpoint's own address.
-	LocalAddr() netaddr.Addr
-	// Send delivers payload to the peer at dst.
-	Send(dst netaddr.Addr, payload []byte) error
-	// SetHandler installs the receive callback. Implementations must pin
-	// the handler atomically: a concurrent swap may not tear a call.
-	SetHandler(h func(src netaddr.Addr, payload []byte))
-	// Close releases the endpoint.
-	Close() error
 }

@@ -152,6 +152,20 @@ func (i *Iface) Counters() LinkCounters {
 	return c
 }
 
+// OfferedBytes returns the cumulative bytes offered to the wire in each
+// direction of the interface's link: tx by this side, rx by the peer. It
+// has the shape of irc.Provider.Load (offered load is the overload signal).
+func (i *Iface) OfferedBytes() (tx, rx uint64) {
+	return i.Counters().TxBytes, i.peer.Counters().TxBytes
+}
+
+// GoodputBytes returns the cumulative bytes actually delivered in each
+// direction of the interface's link: out toward the peer, in toward this
+// side. It has the shape of lisp.TelemetryLink.Sample.
+func (i *Iface) GoodputBytes() (out, in uint64) {
+	return i.Counters().DeliveredBytes, i.peer.Counters().DeliveredBytes
+}
+
 // QueueDepth returns the current transmit backlog in bytes.
 func (i *Iface) QueueDepth() int {
 	now := i.node.sim.Now()

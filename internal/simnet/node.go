@@ -462,19 +462,3 @@ func (n *Node) forward(dst netaddr.Addr, data []byte) {
 func (n *Node) SendUDP(src, dst netaddr.Addr, sport, dport uint16, app ...packet.SerializableLayer) error {
 	return n.Send(EncodeUDP(src, dst, sport, dport, app...))
 }
-
-// EncodeUDP serializes an IPv4/UDP packet with computed lengths and
-// checksums around the given application layers.
-func EncodeUDP(src, dst netaddr.Addr, sport, dport uint16, app ...packet.SerializableLayer) []byte {
-	ip := &packet.IPv4{TTL: packet.DefaultTTL, Protocol: packet.IPProtocolUDP, SrcIP: src, DstIP: dst}
-	udp := &packet.UDP{SrcPort: sport, DstPort: dport}
-	udp.SetNetworkLayerForChecksum(ip)
-	layers := make([]packet.SerializableLayer, 0, 2+len(app))
-	layers = append(layers, ip, udp)
-	for _, l := range app {
-		if l != nil { // tolerate "no payload" call sites
-			layers = append(layers, l)
-		}
-	}
-	return packet.Serialize(layers...)
-}

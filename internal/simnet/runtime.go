@@ -19,6 +19,12 @@ var (
 	_ runtime.Host    = (*Node)(nil)
 )
 
+// EncodeUDP is runtime.EncodeUDP under its simulator-era name: one frame
+// encoder serves both engines, which keeps sim and real wire bytes equal.
+func EncodeUDP(src, dst netaddr.Addr, sport, dport uint16, app ...packet.SerializableLayer) []byte {
+	return runtime.EncodeUDP(src, dst, sport, dport, app...)
+}
+
 // HostName implements runtime.Host.
 func (n *Node) HostName() string { return n.name }
 

@@ -7,7 +7,7 @@
 // Every packet that crosses a link is a real encoded byte slice produced
 // by internal/packet — protocol code cannot take shortcuts around the wire
 // format, which is what lets the same control-plane code run over real UDP
-// sockets in internal/wire.
+// sockets in cmd/lispd (internal/overlay carries these very frames).
 //
 // The event core is closure-free: packet hops and protocol timers are
 // typed events (EventKind plus a fixed-size argument block) stored by

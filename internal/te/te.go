@@ -84,8 +84,7 @@ func (t *Tracker) sample() {
 		// Goodput, not offered load: DeliveredBytes excludes frames the
 		// link destroyed (random loss, admin-down), so a lossy provider
 		// reads as carrying less traffic, not more.
-		tx := l.Iface.Counters().DeliveredBytes
-		rx := l.Iface.Peer().Counters().DeliveredBytes
+		tx, rx := l.Iface.GoodputBytes()
 		// Priming is per link, not per tracker: a link registered while
 		// the sampler is already live must not book its entire cumulative
 		// counter as one interval's traffic.

@@ -16,6 +16,7 @@ type teWorld struct {
 	sim       *simnet.Sim
 	dom       *simnet.Node
 	providers []*irc.Provider
+	ifaces    []*simnet.Iface // domain-side provider interfaces, in providers order
 }
 
 func newTEWorld(t testing.TB) *teWorld {
@@ -32,8 +33,9 @@ func newTEWorld(t testing.TB) *teWorld {
 		dom.AddRoute(netaddr.PrefixFrom(netaddr.AddrFrom4(10, byte(i), 0, 0), 24), l.A())
 		prov.SetDefaultRoute(l.B())
 		w.providers = append(w.providers, &irc.Provider{
-			Name: name, RLOC: rloc, Egress: l.A(), CapacityBps: 800_000,
+			Name: name, RLOC: rloc, Load: l.A().OfferedBytes, CapacityBps: 800_000,
 		})
+		w.ifaces = append(w.ifaces, l.A())
 	}
 	return w
 }
@@ -41,8 +43,8 @@ func newTEWorld(t testing.TB) *teWorld {
 func TestTrackerUtilization(t *testing.T) {
 	w := newTEWorld(t)
 	tr := NewTracker(w.sim)
-	for _, p := range w.providers {
-		tr.Add(p.Name, p.Egress, p.CapacityBps)
+	for i, p := range w.providers {
+		tr.Add(p.Name, w.ifaces[i], p.CapacityBps)
 	}
 	tr.Start()
 	// 400kbps through provider A = 50% utilization.
@@ -91,14 +93,14 @@ func (f *fakeRepusher) Repush() int { f.calls++; return f.moved }
 // sampling reported ~50% — offered load, not goodput).
 func TestTrackerMeasuresGoodputNotOfferedLoad(t *testing.T) {
 	w := newTEWorld(t)
-	ifA := w.providers[0].Egress
+	ifA := w.ifaces[0]
 	cfg := ifA.Config()
 	cfg.Loss = 1.0
 	ifA.SetConfig(cfg)
 
 	tr := NewTracker(w.sim)
-	for _, p := range w.providers {
-		tr.Add(p.Name, p.Egress, p.CapacityBps)
+	for i, p := range w.providers {
+		tr.Add(p.Name, w.ifaces[i], p.CapacityBps)
 	}
 	tr.Start()
 	pump := workload.NewPump(w.dom, w.providers[0].RLOC, netaddr.AddrFrom4(10, 0, 0, 2), 9, 400_000, 1000)
@@ -162,7 +164,7 @@ func TestRebalancerIngressMode(t *testing.T) {
 	engine := irc.NewEngine(w.sim, w.providers, irc.LoadBalance{})
 	engine.Start()
 	// Inbound traffic: pump from the provider side toward the domain.
-	prov := w.providers[0].Egress.Peer().Node()
+	prov := w.ifaces[0].Peer().Node()
 	pump := workload.NewPump(prov, netaddr.AddrFrom4(10, 0, 0, 2), w.providers[0].RLOC, 9, 600_000, 1000)
 	w.dom.ListenUDP(9, func(*simnet.Delivery, *packet.UDP) {})
 	pump.Start()
@@ -186,7 +188,7 @@ func TestRebalancerIngressMode(t *testing.T) {
 func TestTrackerAddAfterStart(t *testing.T) {
 	w := newTEWorld(t)
 	tr := NewTracker(w.sim)
-	tr.Add(w.providers[0].Name, w.providers[0].Egress, w.providers[0].CapacityBps)
+	tr.Add(w.providers[0].Name, w.ifaces[0], w.providers[0].CapacityBps)
 	tr.Start()
 	// Load both providers from t=0 so provider B accumulates counters
 	// before it is ever tracked.
@@ -194,7 +196,7 @@ func TestTrackerAddAfterStart(t *testing.T) {
 	workload.NewPump(w.dom, w.providers[1].RLOC, netaddr.AddrFrom4(10, 1, 0, 2), 9, 400_000, 1000).Start()
 	w.sim.RunUntil(10 * time.Second)
 
-	tr.Add(w.providers[1].Name, w.providers[1].Egress, w.providers[1].CapacityBps)
+	tr.Add(w.providers[1].Name, w.ifaces[1], w.providers[1].CapacityBps)
 	w.sim.RunUntil(15 * time.Second)
 
 	bSeries := tr.Egress[1]

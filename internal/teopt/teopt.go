@@ -258,8 +258,7 @@ func (o *Optimizer) tick() {
 		if l.Iface == nil {
 			continue // telemetry-fed
 		}
-		out := l.Iface.Counters().DeliveredBytes
-		in := l.Iface.Peer().Counters().DeliveredBytes
+		out, in := l.Iface.GoodputBytes()
 		if st.primed {
 			bytes := out - st.lastOut
 			if o.cfg.Ingress {

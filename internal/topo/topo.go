@@ -403,7 +403,7 @@ func (in *Internet) buildDomain(spec *Spec, idx int, rng *rand.Rand) {
 
 	// Install the LISP data plane.
 	for x, xtrNode := range xtrNodes {
-		xtr := lisp.InstallXTR(xtrNode, lisp.XTRConfig{
+		xtr := lisp.NewXTR(xtrNode.Sim(), xtrNode, lisp.XTRConfig{
 			RLOC:           d.Providers[min(x, len(d.Providers)-1)].RLOC,
 			LocalEIDs:      d.EIDPrefix,
 			EIDSpace:       EIDSpace,

@@ -140,7 +140,7 @@ func TestSplitXTRs(t *testing.T) {
 	if len(d1.XTRs) != 2 {
 		t.Fatalf("split xTRs = %d", len(d1.XTRs))
 	}
-	if d1.XTRs[0] == d1.XTRs[1] || d1.XTRs[0].Node() == d1.XTRs[1].Node() {
+	if d1.XTRs[0] == d1.XTRs[1] || d1.XTRs[0].Host() == d1.XTRs[1].Host() {
 		t.Fatal("split xTRs must be distinct nodes")
 	}
 	if d1.Providers[1].XTR != d1.XTRs[1] {

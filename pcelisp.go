@@ -14,8 +14,9 @@
 //     (internal/core),
 //   - a deterministic discrete-event network simulator every byte runs
 //     through (internal/simnet), with gopacket-style wire codecs
-//     (internal/packet) that also run over real UDP sockets
-//     (internal/wire),
+//     (internal/packet),
+//   - the same xTR and PCE state machines as a real daemon over UDP
+//     sockets (internal/runtime, internal/overlay, cmd/lispd),
 //   - and the experiment suite quantifying the paper's three claims
 //     (internal/experiments).
 //
