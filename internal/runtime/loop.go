@@ -22,7 +22,7 @@ type Loop struct {
 	mu      sync.Mutex
 	rng     *rand.Rand
 	posted  []func()
-	timers  loopTimerHeap
+	timers  Queue[loopTimer]
 	seq     uint64
 	running bool
 	stopped bool
@@ -30,61 +30,11 @@ type Loop struct {
 	done    chan struct{}
 }
 
-// loopTimer is one armed timer, ordered by (deadline, arming sequence) —
-// the same FIFO contract the sim scheduler preserves.
+// loopTimer is one armed timer. Its (deadline, arming sequence) key lives
+// in the queue — the same FIFO contract the sim preserves.
 type loopTimer struct {
-	at  Time
-	seq uint64
 	h   TimerHandler
 	arg TimerArg
-}
-
-type loopTimerHeap []loopTimer
-
-func (h loopTimerHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *loopTimerHeap) push(t loopTimer) {
-	*h = append(*h, t)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *loopTimerHeap) pop() loopTimer {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	old[n] = loopTimer{}
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && (*h).less(l, small) {
-			small = l
-		}
-		if r < n && (*h).less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
-		i = small
-	}
-	return top
 }
 
 // NewLoop creates a stopped loop whose clock starts at zero now and whose
@@ -114,11 +64,16 @@ func (l *Loop) ScheduleTimer(d Time, h TimerHandler, arg TimerArg) {
 	l.TimerAt(l.Now()+d, h, arg)
 }
 
-// TimerAt arms h.OnTimer(arg) to fire at absolute loop time t.
+// TimerAt arms h.OnTimer(arg) to fire at absolute loop time t. Like Post,
+// it is a no-op once the loop has stopped: nothing would ever drain it.
 func (l *Loop) TimerAt(t Time, h TimerHandler, arg TimerArg) {
 	l.mu.Lock()
+	if l.stopped {
+		l.mu.Unlock()
+		return
+	}
 	l.seq++
-	l.timers.push(loopTimer{at: t, seq: l.seq, h: h, arg: arg})
+	l.timers.Push(t, l.seq, &loopTimer{h: h, arg: arg})
 	l.mu.Unlock()
 	l.poke()
 }
@@ -190,12 +145,18 @@ func (l *Loop) run() {
 		batch, l.posted = l.posted, batch[:0]
 		now := l.Now()
 		due = due[:0]
-		for len(l.timers) > 0 && l.timers[0].at <= now {
-			due = append(due, l.timers.pop())
-		}
 		var next Time = -1
-		if len(l.timers) > 0 {
-			next = l.timers[0].at
+		for {
+			at, t := l.timers.Peek()
+			if t == nil {
+				break
+			}
+			if at > now {
+				next = at
+				break
+			}
+			due = append(due, *t)
+			l.timers.Pop()
 		}
 		l.mu.Unlock()
 

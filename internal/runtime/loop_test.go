@@ -185,6 +185,27 @@ func TestLoopPostAfterStopIsNoop(t *testing.T) {
 	}
 }
 
+// TestLoopTimerAfterStopIsNoop: a reader goroutine or late callback that
+// arms a timer during shutdown used to push onto a queue nobody would
+// ever drain. Both arming calls must drop it, as Post does.
+func TestLoopTimerAfterStopIsNoop(t *testing.T) {
+	l := NewLoop(1)
+	l.Start()
+	var log orderLog
+	done := make(chan struct{})
+	l.TimerAt(0, &log, TimerArg{S: "before", P: func() { close(done) }})
+	waitFor(t, done, "the loop to run")
+	l.Stop()
+	l.TimerAt(0, &log, TimerArg{S: "late-at"})
+	l.ScheduleTimer(time.Hour, &log, TimerArg{S: "late-after"})
+	l.mu.Lock()
+	queued := l.timers.Len()
+	l.mu.Unlock()
+	if got := log.snapshot(); queued != 0 || len(got) != 1 {
+		t.Fatalf("timers armed after Stop: %d queued, fired %v; want none queued and only %q fired", queued, got, "before")
+	}
+}
+
 // TestLoopReleasesRunWork is the retention regression: the loop recycles
 // its drained thunk slice and its due-timer slice, and used to leave the
 // closures and timer payloads of the largest burst so far reachable from

@@ -4,9 +4,9 @@ import "github.com/pcelisp/pcelisp/internal/runtime"
 
 // EventKind discriminates the fixed set of things the simulator can
 // schedule. Events are plain structs dispatched through a switch, not
-// closures: scheduling one copies a fixed-size value into the scheduler's
-// slot storage, so the steady-state hot path (packet delivery, protocol
-// timers) allocates nothing.
+// closures: scheduling one copies a fixed-size value into the queue's
+// slab, so the steady-state hot path (packet delivery, protocol timers)
+// allocates nothing.
 type EventKind uint8
 
 const (
@@ -35,29 +35,18 @@ type TimerHandler = runtime.TimerHandler
 type TimerArg = runtime.TimerArg
 
 // event is one scheduled occurrence. Events are stored by value in the
-// scheduler's slot slices and lane; they are copied, never shared, so no
-// per-event allocation happens in steady state. The struct is kept as
-// small as possible — it is memmoved on every insert, cascade and pop —
-// which is why the arrival interface travels as an index into the node's
-// iface list rather than a second pointer.
+// queue's slab, copied in on enqueue and out before dispatch, never
+// shared, so no per-event allocation happens in steady state. Its (time,
+// sequence) key lives in the queue, not here. The arrival interface
+// travels as an index into the node's iface list rather than a second
+// pointer to keep those two copies small.
 type event struct {
-	at    Time
-	seq   uint64 // tie-break: FIFO among same-time events
 	kind  EventKind
 	ifIdx uint16 // evArrive: index of the drained iface in node.ifaces
 	node  *Node  // evArrive/evDeliver: receiving node
 	data  []byte // evDeliver: packet bytes (evArrive frames ride the batch)
 	h     TimerHandler
 	arg   TimerArg
-}
-
-// eventLess orders events by (time, scheduling sequence): the exact FIFO
-// contract every scheduler implementation must preserve.
-func eventLess(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
 }
 
 // funcTimer adapts a plain closure to TimerHandler for the ScheduleFunc
@@ -70,7 +59,7 @@ type funcTimer func()
 func (f funcTimer) OnTimer(TimerArg) { f() }
 
 // dispatch executes one event. Called by the run loop with s.now already
-// advanced to e.at.
+// advanced to its time.
 func (s *Sim) dispatch(e *event) {
 	switch e.kind {
 	case evArrive:
@@ -130,101 +119,6 @@ func (s *Sim) drainArrivals(in *Iface) {
 	if !in.drainArmed {
 		in.drainArmed = true
 		in.drainAt = in.arrQ[in.arrHead].at
-		s.seq++
-		e := event{at: in.drainAt, seq: s.seq, kind: evArrive, node: in.node, ifIdx: in.idx}
-		s.enqueue(&e)
+		s.enqueue(in.drainAt, &event{kind: evArrive, node: in.node, ifIdx: in.idx})
 	}
 }
-
-// scheduler is the event-queue contract shared by the production timing
-// wheel and the reference heap. Implementations must pop events in exact
-// (at, seq) order.
-type scheduler interface {
-	// schedule copies *e into the queue.
-	schedule(e *event)
-	// peek returns the next event, or nil when the queue is empty. The
-	// pointer is only valid until the next schedule or pop call: callers
-	// copy the value out before executing it.
-	peek() *event
-	// pop discards the event last returned by peek.
-	pop()
-	// pending returns the number of queued events.
-	pending() int
-}
-
-// Compile-time checks that both engines honor the scheduler contract
-// (Sim dispatches on the concrete types, so nothing else asserts this).
-var (
-	_ scheduler = (*wheelSched)(nil)
-	_ scheduler = (*refSched)(nil)
-)
-
-// eventHeap is a hand-rolled binary min-heap of events ordered by
-// (at, seq). It backs the reference scheduler and the wheel's far-horizon
-// overflow. container/heap is avoided deliberately: its interface{}
-// methods force boxing on every push.
-type eventHeap []event
-
-func (h *eventHeap) push(e *event) {
-	*h = append(*h, *e)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventLess(&q[i], &q[parent]) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) popMin() event {
-	q := *h
-	n := len(q) - 1
-	min := q[0]
-	q[0] = q[n]
-	q[n] = event{} // drop references for GC
-	q = q[:n]
-	*h = q
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && eventLess(&q[l], &q[small]) {
-			small = l
-		}
-		if r < n && eventLess(&q[r], &q[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		q[i], q[small] = q[small], q[i]
-		i = small
-	}
-	return min
-}
-
-// refSched is the reference scheduler: the straight binary heap the
-// simulator shipped with originally. It is kept as the executable
-// specification of event ordering — the differential tests replay random
-// workloads through it and the timing wheel and demand identical
-// execution order — and as the golden engine for experiment-output
-// comparison tests.
-type refSched struct {
-	h eventHeap
-}
-
-func (r *refSched) schedule(e *event) { r.h.push(e) }
-
-func (r *refSched) peek() *event {
-	if len(r.h) == 0 {
-		return nil
-	}
-	return &r.h[0]
-}
-
-func (r *refSched) pop() { r.h.popMin() }
-
-func (r *refSched) pending() int { return len(r.h) }

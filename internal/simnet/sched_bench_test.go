@@ -33,21 +33,47 @@ func BenchmarkSchedulerHot(b *testing.B) {
 	s.Run()
 }
 
-// BenchmarkSchedulerHotReference runs the same workload on the reference
-// heap engine (the value-based rewrite of the original scheduler, kept
-// as the ordering specification), so the wheel's structural win over
-// O(log n) sift costs stays measurable as queues deepen.
-func BenchmarkSchedulerHotReference(b *testing.B) {
-	s := NewWithEngine(1, EngineHeap)
-	h := &hotTimer{s: s, step: time.Microsecond, left: b.N}
+// deepTimer is one of many timers that each re-arm themselves at a
+// pseudo-random horizon, holding the queue at a constant depth.
+type deepTimer struct {
+	s    *Sim
+	rng  uint64
+	left *int
+}
+
+func (d *deepTimer) OnTimer(TimerArg) {
+	*d.left--
+	if *d.left <= 0 {
+		d.s.Stop()
+		return
+	}
+	d.rng ^= d.rng << 13
+	d.rng ^= d.rng >> 7
+	d.rng ^= d.rng << 17
+	d.s.ScheduleTimer(Time(d.rng%uint64(time.Second)), d, TimerArg{})
+}
+
+// BenchmarkSchedulerDeep measures one pop and one re-arm per op against
+// 100 000 pending timers: the deep-queue regime of full-scale E12, where
+// each sift walks up to 17 levels and what a queue entry costs to move
+// decides the result (a heap of whole events ran E12 14 % slower than the
+// key heap).
+func BenchmarkSchedulerDeep(b *testing.B) {
+	const depth = 100_000
+	s := New(1)
+	left := b.N
+	timers := make([]deepTimer, depth)
+	for i := range timers {
+		timers[i] = deepTimer{s: s, rng: uint64(i)*0x9E3779B97F4A7C15 + 1, left: &left}
+		s.ScheduleTimer(Time(timers[i].rng%uint64(time.Second)), &timers[i], TimerArg{})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	s.ScheduleTimer(0, h, TimerArg{})
 	s.Run()
 }
 
-// mixedTimer reschedules itself with a rotating mix of horizons spanning
-// every wheel level and the far heap.
+// mixedTimer reschedules itself with a rotating mix of horizons, from
+// the same instant to half an hour out.
 type mixedTimer struct {
 	s    *Sim
 	i    int
@@ -58,9 +84,9 @@ var mixedHorizons = []Time{
 	0,
 	30 * time.Microsecond,
 	2 * time.Millisecond,
-	300 * time.Millisecond, // level 1
-	50 * time.Second,       // level 2
-	30 * time.Minute,       // far heap
+	300 * time.Millisecond,
+	50 * time.Second,
+	30 * time.Minute,
 }
 
 func (m *mixedTimer) OnTimer(TimerArg) {
@@ -71,9 +97,9 @@ func (m *mixedTimer) OnTimer(TimerArg) {
 	}
 }
 
-// BenchmarkSchedulerMixedHorizon measures scheduling across all wheel
-// levels and the far heap: every op inserts at a different horizon and
-// pays the matching cascade/rebase costs.
+// BenchmarkSchedulerMixedHorizon measures a timer whose every re-arm
+// lands at a different horizon, so the virtual clock jumps by up to half
+// an hour per op.
 func BenchmarkSchedulerMixedHorizon(b *testing.B) {
 	s := New(1)
 	m := &mixedTimer{s: s, left: b.N}
@@ -143,7 +169,7 @@ func BenchmarkSchedulerFuncShim(b *testing.B) {
 func TestSchedulerHotPathZeroAlloc(t *testing.T) {
 	s := New(1)
 	h := &hotTimer{s: s, step: time.Microsecond}
-	// Warm up the lane and slot capacity.
+	// Warm up the queue's capacity.
 	h.left = 10000
 	s.ScheduleTimer(0, h, TimerArg{})
 	s.Run()

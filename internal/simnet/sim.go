@@ -11,16 +11,16 @@
 //
 // The event core is closure-free: packet hops and protocol timers are
 // typed events (EventKind plus a fixed-size argument block) stored by
-// value in a hierarchical timing wheel, so steady-state scheduling
+// value in one (time, sequence)-ordered runtime.Queue — the queue the
+// real-time runtime.Loop keeps its timers in — so steady-state scheduling
 // allocates nothing. ScheduleFunc/AtFunc remain as a compatibility shim
 // for tests and cold-path scenario scripting, at the cost of one closure
 // allocation per call.
 //
 // Determinism: all behaviour derives from the scenario seed via Rand();
 // events scheduled for the same instant fire in scheduling order. Two runs
-// of the same scenario produce byte-identical metric output, and the
-// production timing wheel is differentially tested against the reference
-// heap scheduler to execute in the identical order.
+// of the same scenario produce byte-identical metric output; the ordering
+// itself is property-tested against a naive model (sched_test.go).
 package simnet
 
 import (
@@ -29,51 +29,20 @@ import (
 	"time"
 
 	"github.com/pcelisp/pcelisp/internal/netaddr"
+	"github.com/pcelisp/pcelisp/internal/runtime"
 )
 
 // Time is virtual time since simulation start.
 type Time = time.Duration
-
-// Engine selects the event-queue implementation backing a Sim.
-type Engine int
-
-const (
-	// EngineWheel is the production scheduler: a hierarchical timing
-	// wheel with a sorted near-future lane and a far-horizon heap.
-	EngineWheel Engine = iota
-	// EngineHeap is the reference binary-heap scheduler kept as the
-	// executable ordering specification. It is slower and exists for
-	// differential and golden-output testing.
-	EngineHeap
-)
-
-// defaultEngine backs New. Overridable (SetDefaultEngine) so integration
-// tests can rebuild whole experiment worlds on the reference heap and
-// compare output bytes against the wheel.
-var defaultEngine = EngineWheel
-
-// SetDefaultEngine sets the scheduler used by subsequent New calls and
-// returns the previous setting. Not safe to call concurrently with
-// simulation construction; intended for test setup.
-func SetDefaultEngine(e Engine) Engine {
-	prev := defaultEngine
-	defaultEngine = e
-	return prev
-}
 
 // Sim is a discrete-event simulation instance. Sim is not safe for
 // concurrent use: the event loop is strictly single-threaded, which is
 // what makes runs reproducible.
 type Sim struct {
 	now Time
-	// wheel is the production scheduler. ref, when non-nil, replaces it
-	// with the reference heap (EngineHeap). Dispatch is a nil-check on
-	// concrete types rather than an interface call: passing *event
-	// through an interface would force every event to escape to the
-	// heap, which is exactly what the typed-event design exists to
-	// avoid.
-	wheel   *wheelSched
-	ref     *refSched
+	// queue holds every pending event under its (time, seq) key; seq is
+	// the scheduling counter that makes same-time events fire FIFO.
+	queue   runtime.Queue[event]
 	seq     uint64
 	rng     *rand.Rand
 	nodes   map[string]*Node
@@ -117,48 +86,21 @@ type Sim struct {
 	Trace func(ev TraceEvent)
 }
 
-// New creates a simulation seeded for deterministic randomness, using the
-// default scheduler engine.
-func New(seed int64) *Sim { return NewWithEngine(seed, defaultEngine) }
-
-// NewWithEngine creates a simulation on an explicit scheduler engine.
-func NewWithEngine(seed int64, engine Engine) *Sim {
-	s := &Sim{
+// New creates a simulation seeded for deterministic randomness.
+func New(seed int64) *Sim {
+	return &Sim{
 		rng:       rand.New(rand.NewSource(seed)),
 		worldSeed: seed,
 		nodes:     make(map[string]*Node),
 		groups:    make(map[netaddr.Addr][]*Node),
 	}
-	if engine == EngineHeap {
-		s.ref = &refSched{}
-	} else {
-		s.wheel = newWheelSched()
-	}
-	return s
 }
 
-// enqueue routes one event to the active scheduler.
-func (s *Sim) enqueue(e *event) {
-	if s.ref != nil {
-		s.ref.schedule(e)
-		return
-	}
-	s.wheel.schedule(e)
-}
-
-func (s *Sim) peekEvent() *event {
-	if s.ref != nil {
-		return s.ref.peek()
-	}
-	return s.wheel.peek()
-}
-
-func (s *Sim) popEvent() {
-	if s.ref != nil {
-		s.ref.pop()
-		return
-	}
-	s.wheel.pop()
+// enqueue queues *e to fire at absolute time t, after everything already
+// queued for t.
+func (s *Sim) enqueue(t Time, e *event) {
+	s.seq++
+	s.queue.Push(t, s.seq, e)
 }
 
 // Now returns the current virtual time.
@@ -170,7 +112,7 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // ScheduleTimer arms a typed timer firing h.OnTimer(arg) after delay d
 // (clamped to >= 0). This is the allocation-free way to schedule work:
 // the handler is an interface pair and arg a fixed-size value, both
-// copied into the scheduler's slot storage.
+// copied into the queue's slab.
 func (s *Sim) ScheduleTimer(d Time, h TimerHandler, arg TimerArg) {
 	if d < 0 {
 		d = 0
@@ -183,9 +125,7 @@ func (s *Sim) TimerAt(t Time, h TimerHandler, arg TimerArg) {
 	if t < s.now {
 		t = s.now
 	}
-	s.seq++
-	e := event{at: t, seq: s.seq, kind: evTimer, h: h, arg: arg}
-	s.enqueue(&e)
+	s.enqueue(t, &event{kind: evTimer, h: h, arg: arg})
 }
 
 // ScheduleFunc runs fn after delay d (clamped to >= 0). Compatibility
@@ -194,9 +134,10 @@ func (s *Sim) TimerAt(t Time, h TimerHandler, arg TimerArg) {
 // runtime seam to the real-time daemon. The protocol packages (lisp,
 // core, irc, mapsys, dnssim) have zero call sites — they arm timers
 // exclusively through runtime.Runtime.ScheduleTimer with typed
-// handlers; keep it that way. The remaining users are experiment
-// scenario scripts, cmd/lispsim and the examples, where one allocation
-// per scripted event is irrelevant.
+// handlers; keep it that way. The remaining users are the scenario
+// scripts in internal/experiments, cmd/lispsim and
+// examples/multihoming-te, where one allocation per scripted event is
+// irrelevant and a typed handler per script would only add code.
 func (s *Sim) ScheduleFunc(d Time, fn func()) {
 	if d < 0 {
 		d = 0
@@ -238,18 +179,14 @@ func (s *Sim) scheduleArrival(t Time, to *Iface, data []byte) {
 	if !to.drainArmed || t < to.drainAt {
 		to.drainArmed = true
 		to.drainAt = t
-		s.seq++
-		e := event{at: t, seq: s.seq, kind: evArrive, node: to.node, ifIdx: to.idx}
-		s.enqueue(&e)
+		s.enqueue(t, &event{kind: evArrive, node: to.node, ifIdx: to.idx})
 	}
 }
 
 // scheduleLoopback enqueues local delivery of a locally originated packet
 // through the event queue, so handler reentrancy cannot occur.
 func (s *Sim) scheduleLoopback(n *Node, data []byte) {
-	s.seq++
-	e := event{at: s.now, seq: s.seq, kind: evDeliver, node: n, data: data}
-	s.enqueue(&e)
+	s.enqueue(s.now, &event{kind: evDeliver, node: n, data: data})
 }
 
 // Stop makes Run return after the current event.
@@ -268,15 +205,15 @@ func (s *Sim) RunUntil(deadline Time) int {
 	s.stopped = false
 	n := 0
 	for !s.stopped {
-		next := s.peekEvent()
-		if next == nil || next.at > deadline {
+		at, next := s.queue.Peek()
+		if next == nil || at > deadline {
 			break
 		}
-		// Copy out before pop: the slot storage is recycled immediately,
-		// and the event's own scheduling can reuse it.
+		// Copy out before pop: the slab slot is recycled immediately, and
+		// the event's own scheduling can reuse it.
 		e := *next
-		s.popEvent()
-		s.now = e.at
+		s.queue.Pop()
+		s.now = at
 		s.dispatch(&e)
 		n++
 	}
@@ -290,20 +227,12 @@ func (s *Sim) RunUntil(deadline Time) int {
 // (0, false) when the queue is empty. The shard coordinator uses it to
 // size epochs without popping anything.
 func (s *Sim) nextEventTime() (Time, bool) {
-	e := s.peekEvent()
-	if e == nil {
-		return 0, false
-	}
-	return e.at, true
+	at, e := s.queue.Peek()
+	return at, e != nil
 }
 
 // Pending returns the number of queued events.
-func (s *Sim) Pending() int {
-	if s.ref != nil {
-		return s.ref.pending()
-	}
-	return s.wheel.pending()
-}
+func (s *Sim) Pending() int { return s.queue.Len() }
 
 // getDelivery draws Delivery scratch from the free list.
 func (s *Sim) getDelivery() *Delivery {
