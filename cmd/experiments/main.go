@@ -16,6 +16,8 @@
 //	experiments -markdown      # emit GitHub-flavoured tables (EXPERIMENTS.md)
 //	experiments -cpuprofile cpu.out   # profile a real run (go tool pprof)
 //	experiments -memprofile mem.out   # heap profile after the run
+//	experiments -scenario -cps ALT -domains 4 -flows 20 -policy queue -trace
+//	                           # one ad-hoc world instead of the tables
 //
 // -parallel distributes each experiment's independent cells (one
 // simulated world each) across GOMAXPROCS goroutines and merges results
@@ -43,24 +45,36 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
-	run := flag.String("run", "", "comma-separated experiment IDs (default: all)")
-	seed := flag.Int64("seed", 1, "world seed")
-	seeds := flag.String("seeds", "", "comma-separated world seeds (overrides -seed)")
-	quick := flag.Bool("quick", false, "reduced scale")
-	parallel := flag.Bool("parallel", false, "fan each experiment's cells across all CPUs")
-	workers := flag.Int("workers", 0, "worker-pool size for -parallel (0 = GOMAXPROCS)")
-	cps := flag.String("cps", "", "comma-separated control planes to keep (default: all; see -list-cps)")
-	listCPs := flag.Bool("list-cps", false, "list control planes and exit")
-	shards := flag.Int("shards", 1, "partition each world across N lock-step shards (output is byte-identical for any N)")
-	markdown := flag.Bool("markdown", false, "emit markdown tables")
-	list := flag.Bool("list", false, "list experiments and exit")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile taken after the run to this file")
-	flag.Parse()
+// run is main minus the exit: every failure returns its code, so the
+// deferred profile stop and file close always happen and a mistyped
+// -run, -cps or -seeds cannot leave a truncated -cpuprofile behind.
+func run(args []string) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	run := fs.String("run", "", "comma-separated experiment IDs (default: all)")
+	seed := fs.Int64("seed", 1, "world seed")
+	seeds := fs.String("seeds", "", "comma-separated world seeds (overrides -seed)")
+	quick := fs.Bool("quick", false, "reduced scale")
+	parallel := fs.Bool("parallel", false, "fan each experiment's cells across all CPUs")
+	workers := fs.Int("workers", 0, "worker-pool size for -parallel (0 = GOMAXPROCS)")
+	cps := fs.String("cps", "", "comma-separated control planes to keep (default: all; see -list-cps)")
+	listCPs := fs.Bool("list-cps", false, "list control planes and exit")
+	shards := fs.Int("shards", 1, "partition each world across N lock-step shards (output is byte-identical for any N)")
+	markdown := fs.Bool("markdown", false, "emit markdown tables")
+	list := fs.Bool("list", false, "list experiments and exit")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile taken after the run to this file")
+	sc := scenario{}
+	scenarioMode := fs.Bool("scenario", false, "run one ad-hoc world (-seed, one -cps plane, -domains, -flows, -policy, -trace) instead of the experiment tables")
+	fs.IntVar(&sc.domains, "domains", 4, "-scenario: number of LISP domains")
+	fs.IntVar(&sc.flows, "flows", 12, "-scenario: number of flows to run")
+	fs.StringVar(&sc.policy, "policy", "drop", "-scenario: ITR miss policy, drop|queue")
+	fs.BoolVar(&sc.trace, "trace", false, "-scenario: print per-packet drop events")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -112,15 +126,38 @@ func run() int {
 			e, ok := experiments.ByID(strings.TrimSpace(strings.ToUpper(id)))
 			if !ok {
 				fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", id)
-				os.Exit(2)
+				return 2
 			}
 			selected = append(selected, e)
 		}
 	}
 
-	keep := parseCPs(*cps)
-	seedList := parseSeeds(*seeds, *seed)
+	keep, err := parseCPs(*cps)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	seedList, err := parseSeeds(*seeds, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
 	experiments.SetWorldShards(*shards)
+	if *scenarioMode {
+		sc.cp, sc.seed = experiments.CPPCE, *seed
+		if len(keep) > 1 {
+			fmt.Fprintln(os.Stderr, "-scenario takes a single -cps control plane")
+			return 2
+		}
+		if len(keep) == 1 {
+			sc.cp = keep[0]
+		}
+		if sc.domains < 2 || sc.flows < 1 || (sc.policy != "drop" && sc.policy != "queue") {
+			fmt.Fprintln(os.Stderr, "-scenario needs -domains >= 2, -flows >= 1 and -policy drop|queue")
+			return 2
+		}
+		return sc.run()
+	}
 	poolSize := runner.Serial
 	if *parallel || *workers > 1 {
 		poolSize = *workers // 0 = runner.Auto = GOMAXPROCS
@@ -146,9 +183,9 @@ func run() int {
 
 // parseCPs resolves a comma-separated control-plane filter against the
 // canonical names (case-insensitive).
-func parseCPs(s string) []experiments.CP {
+func parseCPs(s string) ([]experiments.CP, error) {
 	if s == "" {
-		return nil
+		return nil, nil
 	}
 	var keep []experiments.CP
 	for _, name := range strings.Split(s, ",") {
@@ -165,17 +202,16 @@ func parseCPs(s string) []experiments.CP {
 			}
 		}
 		if !found {
-			fmt.Fprintf(os.Stderr, "unknown control plane %q (use -list-cps)\n", name)
-			os.Exit(2)
+			return nil, fmt.Errorf("unknown control plane %q (use -list-cps)", name)
 		}
 	}
-	return keep
+	return keep, nil
 }
 
 // parseSeeds returns the -seeds list, or the single -seed fallback.
-func parseSeeds(s string, fallback int64) []int64 {
+func parseSeeds(s string, fallback int64) ([]int64, error) {
 	if s == "" {
-		return []int64{fallback}
+		return []int64{fallback}, nil
 	}
 	var seeds []int64
 	for _, part := range strings.Split(s, ",") {
@@ -185,13 +221,12 @@ func parseSeeds(s string, fallback int64) []int64 {
 		}
 		v, err := strconv.ParseInt(part, 10, 64)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad seed %q: %v\n", part, err)
-			os.Exit(2)
+			return nil, fmt.Errorf("bad seed %q: %v", part, err)
 		}
 		seeds = append(seeds, v)
 	}
 	if len(seeds) == 0 {
-		return []int64{fallback}
+		return []int64{fallback}, nil
 	}
-	return seeds
+	return seeds, nil
 }

@@ -1,16 +1,7 @@
-// Command lispsim runs a single configurable scenario on the simulated
-// internet and reports flow and control-plane statistics — the quick way
-// to poke at the system without the full experiment harness.
-//
-// Usage:
-//
-//	lispsim -cp PCE-CP -domains 4 -flows 20 -policy queue -trace
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
 	"time"
 
 	"github.com/pcelisp/pcelisp/internal/experiments"
@@ -19,26 +10,32 @@ import (
 	"github.com/pcelisp/pcelisp/internal/simnet"
 )
 
-func main() {
-	cpName := flag.String("cp", "PCE-CP", "control plane: ideal|ALT|CONS|MS/MR|NERD|PCE-CP")
-	domains := flag.Int("domains", 4, "number of LISP domains")
-	flows := flag.Int("flows", 12, "number of flows to run")
-	seed := flag.Int64("seed", 1, "world seed")
-	policy := flag.String("policy", "drop", "ITR miss policy: drop|queue")
-	trace := flag.Bool("trace", false, "print per-packet trace events")
-	flag.Parse()
+// scenario is the -scenario mode: one configurable world on the simulated
+// internet, reporting flow and control-plane statistics — the quick way
+// to poke at the system without the experiment harness.
+type scenario struct {
+	cp      experiments.CP
+	seed    int64
+	domains int
+	flows   int
+	policy  string
+	trace   bool
+}
 
-	miss := lisp.MissDrop
-	if *policy == "queue" {
+// run drives the flows and prints the summary table; it returns 1 when no
+// flow completed.
+func (sc scenario) run() int {
+	miss := lisp.MissDrop // run validated policy as drop|queue
+	if sc.policy == "queue" {
 		miss = lisp.MissQueue
 	}
 	w := experiments.BuildWorld(experiments.WorldConfig{
-		CP:         experiments.CP(*cpName),
-		Domains:    *domains,
-		Seed:       *seed,
+		CP:         sc.cp,
+		Domains:    sc.domains,
+		Seed:       sc.seed,
 		MissPolicy: miss,
 	})
-	if *trace {
+	if sc.trace {
 		w.Sim.Trace = func(ev simnet.TraceEvent) {
 			if ev.Kind == simnet.TraceDrop {
 				fmt.Printf("%12v  %-8s %-12s %s\n", ev.At, ev.Kind, ev.Node, ev.Reason)
@@ -50,12 +47,11 @@ func main() {
 	setup := metrics.NewSummary("setup")
 	tdns := metrics.NewSummary("tdns")
 	ok := 0
-	for i := 0; i < *flows; i++ {
-		i := i
-		srcD := i % *domains
-		dstD := (i + 1 + i/(*domains)) % *domains
+	for i := 0; i < sc.flows; i++ {
+		srcD := i % sc.domains
+		dstD := (i + 1 + i/sc.domains) % sc.domains
 		if dstD == srcD {
-			dstD = (dstD + 1) % *domains
+			dstD = (dstD + 1) % sc.domains
 		}
 		w.Sim.ScheduleFunc(time.Duration(i)*2*time.Second, func() {
 			w.StartFlow(srcD, 0, dstD, 0, func(res experiments.FlowResult) {
@@ -67,12 +63,12 @@ func main() {
 			})
 		})
 	}
-	w.Sim.RunFor(time.Duration(*flows)*2*time.Second + 90*time.Second)
+	w.Sim.RunFor(time.Duration(sc.flows)*2*time.Second + 90*time.Second)
 
 	tbl := metrics.NewTable(
-		fmt.Sprintf("lispsim: %s, %d domains, %d flows (seed %d)", *cpName, *domains, *flows, *seed),
+		fmt.Sprintf("scenario: %s, %d domains, %d flows (seed %d)", sc.cp, sc.domains, sc.flows, sc.seed),
 		"metric", "value")
-	tbl.AddRow("flows completed", fmt.Sprintf("%d/%d", ok, *flows))
+	tbl.AddRow("flows completed", fmt.Sprintf("%d/%d", ok, sc.flows))
 	tbl.AddRow("mean TDNS", metrics.FormatMs(tdns.Mean()))
 	tbl.AddRow("mean setup", metrics.FormatMs(setup.Mean()))
 	tbl.AddRow("p95 setup", metrics.FormatMs(setup.P95()))
@@ -84,6 +80,7 @@ func main() {
 	fmt.Println(tbl.String())
 
 	if ok == 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

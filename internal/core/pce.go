@@ -90,163 +90,56 @@ type Config struct {
 	Recorder *obs.FlightRecorder
 }
 
+// pceCounters is the PCE's one counter list: each field is a series of
+// the pcelisp_pce_* family (name and help in its tag), instantiated
+// with obs.Counter as the live set the handlers increment and with
+// uint64 as the Stats snapshot.
+type pceCounters[T any] struct {
+	IPCQueries           T `metric:"ipc_queries_total" help:"Step-1 notifications from the colocated resolver."`
+	EncapRepliesSent     T `metric:"encap_replies_sent_total" help:"Step-6 encapsulated DNS replies (PCED)."`
+	EncapRepliesReceived T `metric:"encap_replies_received_total" help:"Step-7 interceptions (PCES)."`
+	// PassthroughReplies: no mapping was available to PCED.
+	PassthroughReplies T `metric:"passthrough_replies_total" help:"Authoritative replies passed through unmapped."`
+	MappingPushes      T `metric:"mapping_pushes_total" help:"Step-7b mapping pushes to the ITRs."`
+	FlowsPushed        T `metric:"flows_pushed_total" help:"Flow tuples across all mapping pushes."`
+	// ReversePushes are database updates observed at the PCE.
+	ReversePushes T `metric:"reverse_pushes_total" help:"ETR reverse-mapping multicasts consumed."`
+	// MapFetches and MapFetchReplies count the cache-hit fallback; a
+	// retry follows a query shed by a flooded PCED service queue.
+	MapFetches      T `metric:"map_fetches_total" help:"Cache-hit fallback MapFetch queries sent."`
+	MapFetchReplies T `metric:"map_fetch_replies_total" help:"MapFetch replies received."`
+	MapFetchRetries T `metric:"map_fetch_retries_total" help:"MapFetch queries re-sent after going unanswered."`
+	PendingExpired  T `metric:"pending_expired_total" help:"Step-1 flows abandoned without a mapping."`
+	// CacheHitPushes are DNS cache hits needing no remote exchange at all.
+	CacheHitPushes T `metric:"cache_hit_pushes_total" help:"Flows served from the local remote-mapping database."`
+	// TxControlMessages and TxControlBytes feed experiment E5.
+	TxControlMessages T `metric:"tx_control_messages_total" help:"PCECP messages originated."`
+	TxControlBytes    T `metric:"tx_control_bytes_total" help:"PCECP bytes originated."`
+	// The failure-injection subsystem; a repush counts only if it
+	// actually moved flows.
+	ReachabilityReports T `metric:"reachability_reports_total" help:"Probe/egress state reports consumed from wired xTRs."`
+	FailoverRepushes    T `metric:"failover_repushes_total" help:"Repush rounds triggered by reachability reports."`
+	// The inbound TE optimizer's input and output.
+	LoadReports           T `metric:"load_reports_total" help:"xTR link-load telemetry messages consumed."`
+	WeightUpdatesSent     T `metric:"weight_updates_sent_total" help:"MappingUpdate announcements to subscriber PCEs."`
+	WeightUpdatesReceived T `metric:"weight_updates_received_total" help:"MappingUpdate messages consumed from remote PCEs."`
+	WeightRepushes        T `metric:"weight_repushes_total" help:"Repush rounds triggered by received MappingUpdates."`
+	// AuthRejects is only counted when Config.AuthKey is set.
+	AuthRejects     T `metric:"auth_rejects_total" help:"Inbound PCECP messages dropped for bad signatures."`
+	FetchQueueDrops T `metric:"fetch_queue_drops_total" help:"MapFetch queries shed by the bounded service queue."`
+	FetchQuotaDrops T `metric:"fetch_quota_drops_total" help:"MapFetch queries shed by the per-source quota."`
+}
+
 // Stats counts PCE activity for the experiments.
-type Stats struct {
-	// IPCQueries counts step-1 notifications from the resolver.
-	IPCQueries uint64
-	// EncapRepliesSent counts step-6 encapsulated DNS replies (PCED).
-	EncapRepliesSent uint64
-	// EncapRepliesReceived counts step-7 interceptions (PCES).
-	EncapRepliesReceived uint64
-	// PassthroughReplies counts authoritative replies PCED let through
-	// unmodified because no mapping was available.
-	PassthroughReplies uint64
-	// MappingPushes counts step-7b pushes to the ITRs.
-	MappingPushes uint64
-	// FlowsPushed counts flow tuples across all pushes.
-	FlowsPushed uint64
-	// ReversePushes counts ETR reverse-mapping multicasts observed at the
-	// PCE (database updates).
-	ReversePushes uint64
-	// MapFetches and MapFetchReplies count the cache-hit fallback;
-	// MapFetchRetries counts fetches re-sent after going unanswered (a
-	// shed query against a flooded PCED service queue).
-	MapFetches      uint64
-	MapFetchReplies uint64
-	MapFetchRetries uint64
-	// PendingExpired counts step-1 flows abandoned without a mapping.
-	PendingExpired uint64
-	// CacheHitPushes counts flows served from the PCE's own remote-mapping
-	// database on DNS cache hits, with no remote exchange at all.
-	CacheHitPushes uint64
-	// TxControlMessages and TxControlBytes count PCECP traffic originated
-	// by this PCE (experiment E5).
-	TxControlMessages uint64
-	TxControlBytes    uint64
-	// ReachabilityReports counts probe-state and egress-state reports
-	// consumed from the wired xTRs (the failure-injection subsystem).
-	ReachabilityReports uint64
-	// FailoverRepushes counts Repush rounds triggered by a reachability
-	// report that actually moved flows.
-	FailoverRepushes uint64
-	// LoadReports counts xTR telemetry messages consumed (the inbound TE
-	// optimizer's input).
-	LoadReports uint64
-	// WeightUpdatesSent counts MappingUpdate announcements to subscriber
-	// PCEs after the optimizer changed locator weights.
-	WeightUpdatesSent uint64
-	// WeightUpdatesReceived counts MappingUpdate messages consumed from
-	// remote PCEs (each triggers a Repush of affected flows).
-	WeightUpdatesReceived uint64
-	// WeightRepushes counts Repush rounds triggered by a received
-	// MappingUpdate that actually moved flows.
-	WeightRepushes uint64
-	// AuthRejects counts inbound PCECP messages dropped for a missing or
-	// bad signature (only counted when Config.AuthKey is set).
-	AuthRejects uint64
-	// FetchQueueDrops and FetchQuotaDrops count MapFetch queries shed by
-	// the bounded service queue and the per-source quota.
-	FetchQueueDrops uint64
-	FetchQuotaDrops uint64
-}
+type Stats = pceCounters[uint64]
 
-// pceMetrics is the PCE's live metric set: one obs counter per Stats
-// field, embedded by value so control-plane handlers pay a plain atomic
-// add. Stats() renders it back into the legacy snapshot struct.
+// pceMetrics is the PCE's live metric set, embedded by value so
+// control-plane handlers pay a plain atomic add.
 type pceMetrics struct {
-	IPCQueries            obs.Counter
-	EncapRepliesSent      obs.Counter
-	EncapRepliesReceived  obs.Counter
-	PassthroughReplies    obs.Counter
-	MappingPushes         obs.Counter
-	FlowsPushed           obs.Counter
-	ReversePushes         obs.Counter
-	MapFetches            obs.Counter
-	MapFetchReplies       obs.Counter
-	MapFetchRetries       obs.Counter
-	PendingExpired        obs.Counter
-	CacheHitPushes        obs.Counter
-	TxControlMessages     obs.Counter
-	TxControlBytes        obs.Counter
-	ReachabilityReports   obs.Counter
-	FailoverRepushes      obs.Counter
-	LoadReports           obs.Counter
-	WeightUpdatesSent     obs.Counter
-	WeightUpdatesReceived obs.Counter
-	WeightRepushes        obs.Counter
-	AuthRejects           obs.Counter
-	FetchQueueDrops       obs.Counter
-	FetchQuotaDrops       obs.Counter
-
-	// FetchQueueDepth gauges the bounded MapFetch service backlog (in
-	// queued requests) as of the last arrival — the operator's view of
-	// the PCED under fetch pressure.
-	FetchQueueDepth obs.Gauge
-}
-
-// register wires every metric into r (no-op when r is nil) under the
-// pcelisp_pce_* family names, labeled by hosting node.
-func (m *pceMetrics) register(r *obs.Registry, node string) {
-	if r == nil {
-		return
-	}
-	l := obs.Label{Key: "node", Value: node}
-	c := func(name, help string, ctr *obs.Counter) {
-		r.RegisterCounter("pcelisp_pce_"+name, help, ctr, l)
-	}
-	c("ipc_queries_total", "Step-1 notifications from the colocated resolver.", &m.IPCQueries)
-	c("encap_replies_sent_total", "Step-6 encapsulated DNS replies (PCED).", &m.EncapRepliesSent)
-	c("encap_replies_received_total", "Step-7 interceptions (PCES).", &m.EncapRepliesReceived)
-	c("passthrough_replies_total", "Authoritative replies passed through unmapped.", &m.PassthroughReplies)
-	c("mapping_pushes_total", "Step-7b mapping pushes to the ITRs.", &m.MappingPushes)
-	c("flows_pushed_total", "Flow tuples across all mapping pushes.", &m.FlowsPushed)
-	c("reverse_pushes_total", "ETR reverse-mapping multicasts consumed.", &m.ReversePushes)
-	c("map_fetches_total", "Cache-hit fallback MapFetch queries sent.", &m.MapFetches)
-	c("map_fetch_replies_total", "MapFetch replies received.", &m.MapFetchReplies)
-	c("map_fetch_retries_total", "MapFetch queries re-sent after going unanswered.", &m.MapFetchRetries)
-	c("pending_expired_total", "Step-1 flows abandoned without a mapping.", &m.PendingExpired)
-	c("cache_hit_pushes_total", "Flows served from the local remote-mapping database.", &m.CacheHitPushes)
-	c("tx_control_messages_total", "PCECP messages originated.", &m.TxControlMessages)
-	c("tx_control_bytes_total", "PCECP bytes originated.", &m.TxControlBytes)
-	c("reachability_reports_total", "Probe/egress state reports consumed from wired xTRs.", &m.ReachabilityReports)
-	c("failover_repushes_total", "Repush rounds triggered by reachability reports.", &m.FailoverRepushes)
-	c("load_reports_total", "xTR link-load telemetry messages consumed.", &m.LoadReports)
-	c("weight_updates_sent_total", "MappingUpdate announcements to subscriber PCEs.", &m.WeightUpdatesSent)
-	c("weight_updates_received_total", "MappingUpdate messages consumed from remote PCEs.", &m.WeightUpdatesReceived)
-	c("weight_repushes_total", "Repush rounds triggered by received MappingUpdates.", &m.WeightRepushes)
-	c("auth_rejects_total", "Inbound PCECP messages dropped for bad signatures.", &m.AuthRejects)
-	c("fetch_queue_drops_total", "MapFetch queries shed by the bounded service queue.", &m.FetchQueueDrops)
-	c("fetch_quota_drops_total", "MapFetch queries shed by the per-source quota.", &m.FetchQuotaDrops)
-	r.RegisterGauge("pcelisp_pce_fetch_queue_depth", "Bounded MapFetch service backlog at last arrival.", &m.FetchQueueDepth, l)
-}
-
-// snapshot renders the live counters as the legacy stats struct.
-func (m *pceMetrics) snapshot() Stats {
-	return Stats{
-		IPCQueries:            m.IPCQueries.Load(),
-		EncapRepliesSent:      m.EncapRepliesSent.Load(),
-		EncapRepliesReceived:  m.EncapRepliesReceived.Load(),
-		PassthroughReplies:    m.PassthroughReplies.Load(),
-		MappingPushes:         m.MappingPushes.Load(),
-		FlowsPushed:           m.FlowsPushed.Load(),
-		ReversePushes:         m.ReversePushes.Load(),
-		MapFetches:            m.MapFetches.Load(),
-		MapFetchReplies:       m.MapFetchReplies.Load(),
-		MapFetchRetries:       m.MapFetchRetries.Load(),
-		PendingExpired:        m.PendingExpired.Load(),
-		CacheHitPushes:        m.CacheHitPushes.Load(),
-		TxControlMessages:     m.TxControlMessages.Load(),
-		TxControlBytes:        m.TxControlBytes.Load(),
-		ReachabilityReports:   m.ReachabilityReports.Load(),
-		FailoverRepushes:      m.FailoverRepushes.Load(),
-		LoadReports:           m.LoadReports.Load(),
-		WeightUpdatesSent:     m.WeightUpdatesSent.Load(),
-		WeightUpdatesReceived: m.WeightUpdatesReceived.Load(),
-		WeightRepushes:        m.WeightRepushes.Load(),
-		AuthRejects:           m.AuthRejects.Load(),
-		FetchQueueDrops:       m.FetchQueueDrops.Load(),
-		FetchQuotaDrops:       m.FetchQuotaDrops.Load(),
-	}
+	pceCounters[obs.Counter]
+	// FetchQueueDepth is the operator's view of the PCED under fetch
+	// pressure, in queued requests.
+	FetchQueueDepth obs.Gauge `metric:"fetch_queue_depth" help:"Bounded MapFetch service backlog at last arrival."`
 }
 
 // EventKind classifies PCE events for the OnEvent hook.
@@ -338,15 +231,13 @@ type PCE struct {
 	// inbound TE optimizer consumes it.
 	OnLoadReport func(src netaddr.Addr, loads []packet.PCELoadRecord)
 
-	// met holds the live metric set (see pceMetrics); Stats() snapshots
-	// it. rec is the control-plane flight recorder (nil-safe).
+	// rec is the control-plane flight recorder (nil-safe).
 	met pceMetrics
 	rec *obs.FlightRecorder
 }
 
-// Stats snapshots the PCE's activity counters — the legacy stats view,
-// now a thin read over the live obs metric set.
-func (p *PCE) Stats() Stats { return p.met.snapshot() }
+// Stats snapshots the PCE's activity counters.
+func (p *PCE) Stats() Stats { return obs.Snapshot[Stats](&p.met.pceCounters) }
 
 type pushedFlow struct {
 	src     netaddr.Addr // SrcRLOC in use (the ingress choice)
@@ -409,7 +300,7 @@ func NewWithRuntime(rt runtime.Runtime, host runtime.Host, cfg Config) *PCE {
 		p.fetchQuota = &lisp.SourceQuota{Limit: cfg.FetchQuotaLimit}
 	}
 	p.rec = cfg.Recorder
-	p.met.register(cfg.Obs, host.HostName())
+	cfg.Obs.RegisterSet("pcelisp_pce_", &p.met, obs.Label{Key: "node", Value: host.HostName()})
 	p.remote.RegisterMetrics(cfg.Obs, host.HostName(), obs.Label{Key: "cache", Value: "pce-remote"})
 	host.AddFrameSniffer(p.SniffFrame)
 	host.BindUDP(cfg.Addr, packet.PortPCECP, p.HandleControl)

@@ -1,8 +1,8 @@
 // Package experiments builds and runs the evaluation the paper implies:
 // the quantified versions of its three claims and the comparisons against
 // the control planes it cites. Every experiment produces paper-style
-// tables; cmd/experiments prints them and bench_test.go regenerates them
-// under `go test -bench`.
+// tables; cmd/experiments prints them and the repository benchmark
+// (bench/, workload sim_suite) times their regeneration.
 //
 // The shared harness builds a multihomed LISP internet (internal/topo),
 // deploys one control plane across every domain — ALT, CONS, MS/MR, NERD,

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"bytes"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -67,4 +70,59 @@ func TestWorldRegistryMSMR(t *testing.T) {
 	if got := w.MSMR.MR.Stats().Forwarded; uint64(fwd) != got {
 		t.Errorf("registry forwarded = %v, Stats() = %d", fwd, got)
 	}
+}
+
+// TestExpositionGolden pins the metric namespace: the full Prometheus
+// exposition of a PCE-CP world and of an MS/MR world after one flow —
+// names, HELP, TYPE, label sets, order and values — must match the
+// committed goldens byte for byte. A refactor of how counters are
+// declared may not move any of it; `-update` rewrites the goldens when a
+// series is added or renamed on purpose.
+func TestExpositionGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		cp     CP
+		run    time.Duration
+	}{
+		{"testdata/exposition_pce.golden", CPPCE, 10 * time.Second},
+		{"testdata/exposition_msmr.golden", CPMSMR, 30 * time.Second},
+	} {
+		reg := obs.NewRegistry()
+		w := BuildWorld(WorldConfig{CP: tc.cp, Domains: 2, Seed: 3, Obs: reg})
+		w.Settle()
+		var res FlowResult
+		w.StartFlow(0, 0, 1, 0, func(r FlowResult) { res = r })
+		w.Sim.RunFor(tc.run)
+		if !res.OK {
+			t.Fatalf("%s: flow failed", tc.cp)
+		}
+		var got bytes.Buffer
+		if err := reg.WritePrometheus(&got); err != nil {
+			t.Fatal(err)
+		}
+		if *updateDigest {
+			if err := os.WriteFile(tc.golden, got.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(tc.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s exposition differs from %s (-update rewrites it):\n%s", tc.cp, tc.golden, firstDiff(got.String(), string(want)))
+		}
+	}
+}
+
+// firstDiff names the first line at which two expositions part.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d: got %q, want %q", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("got %d lines, want %d", len(g), len(w))
 }

@@ -13,7 +13,7 @@ import (
 // that folds their results into paper-style tables. Run and RunWorkers
 // are thin serial-or-parallel dispatchers over that decomposition.
 type Experiment struct {
-	// ID is the experiment identifier ("E1" ... "E9").
+	// ID is the experiment identifier ("E1" ... "E13").
 	ID string
 	// Title describes what it measures.
 	Title string

@@ -159,70 +159,25 @@ func (e *MapEntry) SelectLocator(flowHash uint64) (packet.LISPLocator, bool) {
 	return packet.LISPLocator{}, false
 }
 
-// MapCacheStats counts cache activity.
-type MapCacheStats struct {
-	Hits      uint64
-	Misses    uint64
-	Expired   uint64
-	Evictions uint64
-	Inserts   uint64
-	// WheelRetired counts the subset of Expired that the timing wheel
-	// retired in batches (the rest tripped the lazy check in Lookup
-	// inside the sub-granularity window).
-	WheelRetired uint64
-	// NegativeInserts and NegativeHits count the negative cache: failed
-	// resolutions recorded, and lookups answered "known unresolvable".
+// mapCacheCounters is the cache's one counter list (the xtrCounters
+// pattern): the pcelisp_mapcache_* series, live as obs.Counter cells and
+// snapshotted as MapCacheStats.
+type mapCacheCounters[T any] struct {
+	Hits      T `metric:"hits_total" help:"Lookups answered from a live positive entry."`
+	Misses    T `metric:"misses_total" help:"Lookups with no usable mapping (includes negative hits)."`
+	Expired   T `metric:"expired_total" help:"Entries retired by TTL expiry."`
+	Evictions T `metric:"evictions_total" help:"Entries evicted by the capacity policy."`
+	Inserts   T `metric:"inserts_total" help:"Positive mappings inserted."`
+	// WheelRetired is the subset of Expired retired in batches (the rest
+	// tripped the lazy check in Lookup inside the sub-granularity window).
+	WheelRetired    T `metric:"wheel_retired_total" help:"Expired entries retired in timing-wheel batches."`
+	NegativeInserts T `metric:"negative_inserts_total" help:"Failed resolutions recorded in the negative cache."`
 	// Negative hits also count as Misses for data-path purposes.
-	NegativeInserts uint64
-	NegativeHits    uint64
+	NegativeHits T `metric:"negative_hits_total" help:"Lookups answered 'known unresolvable' by the negative cache."`
 }
 
-// mapCacheMetrics is the cache's live metric set (see xtrMetrics for
-// the pattern); Stats() snapshots it.
-type mapCacheMetrics struct {
-	Hits            obs.Counter
-	Misses          obs.Counter
-	Expired         obs.Counter
-	Evictions       obs.Counter
-	Inserts         obs.Counter
-	WheelRetired    obs.Counter
-	NegativeInserts obs.Counter
-	NegativeHits    obs.Counter
-}
-
-// register wires the cache metrics under pcelisp_mapcache_*, labeled by
-// hosting node plus any extra labels (e.g. cache="itr" vs "pce-remote"
-// to disambiguate co-located caches). No-op when r is nil.
-func (m *mapCacheMetrics) register(r *obs.Registry, node string, extra ...obs.Label) {
-	if r == nil {
-		return
-	}
-	labels := append([]obs.Label{{Key: "node", Value: node}}, extra...)
-	c := func(name, help string, ctr *obs.Counter) {
-		r.RegisterCounter("pcelisp_mapcache_"+name, help, ctr, labels...)
-	}
-	c("hits_total", "Lookups answered from a live positive entry.", &m.Hits)
-	c("misses_total", "Lookups with no usable mapping (includes negative hits).", &m.Misses)
-	c("expired_total", "Entries retired by TTL expiry.", &m.Expired)
-	c("evictions_total", "Entries evicted by the capacity policy.", &m.Evictions)
-	c("inserts_total", "Positive mappings inserted.", &m.Inserts)
-	c("wheel_retired_total", "Expired entries retired in timing-wheel batches.", &m.WheelRetired)
-	c("negative_inserts_total", "Failed resolutions recorded in the negative cache.", &m.NegativeInserts)
-	c("negative_hits_total", "Lookups answered 'known unresolvable' by the negative cache.", &m.NegativeHits)
-}
-
-func (m *mapCacheMetrics) snapshot() MapCacheStats {
-	return MapCacheStats{
-		Hits:            m.Hits.Load(),
-		Misses:          m.Misses.Load(),
-		Expired:         m.Expired.Load(),
-		Evictions:       m.Evictions.Load(),
-		Inserts:         m.Inserts.Load(),
-		WheelRetired:    m.WheelRetired.Load(),
-		NegativeInserts: m.NegativeInserts.Load(),
-		NegativeHits:    m.NegativeHits.Load(),
-	}
-}
+// MapCacheStats counts cache activity.
+type MapCacheStats = mapCacheCounters[uint64]
 
 // wheelGranularity is the timing-wheel bucket width: expired entries
 // leave the cache within this much virtual time of their TTL.
@@ -252,19 +207,17 @@ type MapCache struct {
 	// cache's observable behavior stays deterministic by construction.
 	negatives *netaddr.Trie[struct{}]
 
-	// met holds the live metric set; Stats() snapshots it.
-	met mapCacheMetrics
+	met mapCacheCounters[obs.Counter]
 }
 
-// Stats snapshots the cache's activity counters — the legacy stats
-// view, now a thin read over the live obs metric set.
-func (c *MapCache) Stats() MapCacheStats { return c.met.snapshot() }
+// Stats snapshots the cache's activity counters.
+func (c *MapCache) Stats() MapCacheStats { return obs.Snapshot[MapCacheStats](&c.met) }
 
-// RegisterMetrics wires the cache's counters into r (no-op when r is
-// nil) labeled by the hosting node plus any extra labels. Call once, at
-// construction time.
+// RegisterMetrics wires the cache's counters into r labeled by the
+// hosting node plus any extra labels (e.g. cache="itr" vs "pce-remote"
+// to disambiguate co-located caches). Call once, at construction time.
 func (c *MapCache) RegisterMetrics(r *obs.Registry, node string, extra ...obs.Label) {
-	c.met.register(r, node, extra...)
+	r.RegisterSet("pcelisp_mapcache_", &c.met, append([]obs.Label{{Key: "node", Value: node}}, extra...)...)
 }
 
 // NewMapCache creates an LRU cache; capacity 0 means unbounded.

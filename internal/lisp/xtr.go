@@ -54,175 +54,60 @@ func (f ResolverFunc) Resolve(eid netaddr.Addr, done func(entry *MapEntry, ok bo
 	f(eid, done)
 }
 
-// XTRStats counts tunnel-router activity.
-type XTRStats struct {
-	// EncapPackets counts packets encapsulated toward remote RLOCs.
-	EncapPackets uint64
-	// DecapPackets counts packets decapsulated for local delivery.
-	DecapPackets uint64
-	// CacheMissDrops counts data packets dropped by MissDrop during
-	// resolution — the paper's headline problem.
-	CacheMissDrops uint64
-	// QueuedPackets counts packets buffered by MissQueue.
-	QueuedPackets uint64
-	// QueueOverflows counts buffer-full drops under MissQueue.
-	QueueOverflows uint64
-	// QueueTimeouts counts buffered packets dropped because resolution
-	// never answered.
-	QueueTimeouts uint64
-	// Replayed counts buffered packets sent after late mapping arrival.
-	Replayed uint64
-	// ResolutionsStarted counts mapping-system resolutions triggered.
-	ResolutionsStarted uint64
-	// ResolutionsFailed counts resolutions that came back negative.
-	ResolutionsFailed uint64
-	// ResolutionsSuppressed counts resolutions skipped because the
-	// negative cache already knows the EID is dead.
-	ResolutionsSuppressed uint64
-	// FlowMappingsUsed counts encapsulations that used a per-flow entry.
-	FlowMappingsUsed uint64
-	// NonEIDForwarded counts intercepted packets that were not EID-bound.
-	NonEIDForwarded uint64
+// xtrCounters is the xTR's one counter list: each field is a series of
+// the pcelisp_xtr_* family (name and help in its tag), instantiated
+// with obs.Counter as the live set the hot paths increment and with
+// uint64 as the XTRStats snapshot.
+type xtrCounters[T any] struct {
+	EncapPackets T `metric:"encap_packets_total" help:"Packets encapsulated toward remote RLOCs."`
+	DecapPackets T `metric:"decap_packets_total" help:"Packets decapsulated for local delivery."`
+	// CacheMissDrops is the paper's headline problem.
+	CacheMissDrops        T `metric:"cache_miss_drops_total" help:"Data packets dropped by the drop miss policy during resolution."`
+	QueuedPackets         T `metric:"queued_packets_total" help:"Packets buffered by the queue miss policy."`
+	QueueOverflows        T `metric:"queue_overflows_total" help:"Buffer-full drops under the queue miss policy."`
+	QueueTimeouts         T `metric:"queue_timeouts_total" help:"Buffered packets dropped because resolution never answered."`
+	Replayed              T `metric:"replayed_packets_total" help:"Buffered packets sent after late mapping arrival."`
+	ResolutionsStarted    T `metric:"resolutions_started_total" help:"Mapping-system resolutions triggered by cache misses."`
+	ResolutionsFailed     T `metric:"resolutions_failed_total" help:"Resolutions that came back negative or unusable."`
+	ResolutionsSuppressed T `metric:"resolutions_suppressed_total" help:"Resolutions skipped via the negative cache."`
+	FlowMappingsUsed      T `metric:"flow_mappings_used_total" help:"Encapsulations that used a per-flow PCE entry."`
+	NonEIDForwarded       T `metric:"non_eid_forwarded_total" help:"Intercepted packets that were not EID-sourced."`
 
 	// RLOC-probing activity (see probe.go). ProbesSent / ProbeRepliesSent
 	// are the prober's control-overhead contribution.
-	ProbesSent       uint64
-	ProbeRepliesSent uint64
-	ProbeAcks        uint64
-	ProbeTimeouts    uint64
-	// ProbesSkipped counts probe rounds withheld because the local
-	// egress toward the target was down.
-	ProbesSkipped uint64
-	// LocatorDowns / LocatorUps count hysteresis transitions.
-	LocatorDowns uint64
-	LocatorUps   uint64
-	// EgressDowns / EgressUps count local egress-watch transitions.
-	EgressDowns uint64
-	EgressUps   uint64
+	ProbesSent       T `metric:"probes_sent_total" help:"RLOC probes sent."`
+	ProbeRepliesSent T `metric:"probe_replies_sent_total" help:"RLOC probe replies sent."`
+	ProbeAcks        T `metric:"probe_acks_total" help:"RLOC probe acknowledgements received."`
+	ProbeTimeouts    T `metric:"probe_timeouts_total" help:"RLOC probe timeouts."`
+	ProbesSkipped    T `metric:"probes_skipped_total" help:"Probe rounds withheld because the local egress was down."`
+	LocatorDowns     T `metric:"locator_downs_total" help:"Probe-driven locator down transitions."`
+	LocatorUps       T `metric:"locator_ups_total" help:"Probe-driven locator up transitions."`
+	EgressDowns      T `metric:"egress_downs_total" help:"Local egress-watch down transitions."`
+	EgressUps        T `metric:"egress_ups_total" help:"Local egress-watch up transitions."`
 
-	// TelemetryReports / TelemetryBytes count link-load reports streamed
-	// to the TE collector (telemetry.go) — the telemetry contribution to
-	// control overhead.
-	TelemetryReports uint64
-	TelemetryBytes   uint64
+	// The telemetry contribution to control overhead (telemetry.go).
+	TelemetryReports T `metric:"telemetry_reports_total" help:"Link-load telemetry reports streamed to the TE collector."`
+	TelemetryBytes   T `metric:"telemetry_bytes_total" help:"Bytes of link-load telemetry streamed to the TE collector."`
 
-	// MappingsRejected counts mappings refused by InstallMapping's
-	// hardening checks (no locators, or a prefix under OverclaimFloor).
-	MappingsRejected uint64
-	// GleansSuppressed counts new flows whose decap-path gleaning was
-	// withheld by GleanRateLimit.
-	GleansSuppressed uint64
+	MappingsRejected T `metric:"mappings_rejected_total" help:"Mappings refused by install hardening (no locators, overclaim floor)."`
+	GleansSuppressed T `metric:"gleans_suppressed_total" help:"New flows whose decap-path gleaning was rate-limited."`
 }
 
-// xtrMetrics is the xTR's live metric set: one obs counter per XTRStats
-// field, embedded by value so the hot paths pay a plain atomic add and
-// zero allocations whether or not a registry is scraping. Stats()
-// renders it back into the legacy snapshot struct.
-type xtrMetrics struct {
-	EncapPackets          obs.Counter
-	DecapPackets          obs.Counter
-	CacheMissDrops        obs.Counter
-	QueuedPackets         obs.Counter
-	QueueOverflows        obs.Counter
-	QueueTimeouts         obs.Counter
-	Replayed              obs.Counter
-	ResolutionsStarted    obs.Counter
-	ResolutionsFailed     obs.Counter
-	ResolutionsSuppressed obs.Counter
-	FlowMappingsUsed      obs.Counter
-	NonEIDForwarded       obs.Counter
-	ProbesSent            obs.Counter
-	ProbeRepliesSent      obs.Counter
-	ProbeAcks             obs.Counter
-	ProbeTimeouts         obs.Counter
-	ProbesSkipped         obs.Counter
-	LocatorDowns          obs.Counter
-	LocatorUps            obs.Counter
-	EgressDowns           obs.Counter
-	EgressUps             obs.Counter
-	TelemetryReports      obs.Counter
-	TelemetryBytes        obs.Counter
-	MappingsRejected      obs.Counter
-	GleansSuppressed      obs.Counter
+// XTRStats counts tunnel-router activity.
+type XTRStats = xtrCounters[uint64]
 
-	// ResolutionSeconds observes cache-miss resolution latency (request
-	// sent to answer applied), the operator-facing face of the paper's
-	// T_map.
-	ResolutionSeconds obs.Histogram
+// xtrMetrics is the xTR's live metric set, embedded by value so the hot
+// paths pay a plain atomic add and zero allocations whether or not a
+// registry is scraping.
+type xtrMetrics struct {
+	xtrCounters[obs.Counter]
+	// ResolutionSeconds is the operator-facing face of the paper's T_map.
+	ResolutionSeconds obs.Histogram `metric:"resolution_seconds" help:"Cache-miss resolution latency (request to applied answer)."`
 }
 
 // resolutionBounds buckets resolution latency from sub-millisecond
 // (intra-PoP PCE fetch) to tens of seconds (retransmitting pull planes).
 var resolutionBounds = []float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
-
-// register wires every metric into r (a no-op when r is nil) under the
-// pcelisp_xtr_* family names, labeled by hosting node.
-func (m *xtrMetrics) register(r *obs.Registry, node string) {
-	if r == nil {
-		return
-	}
-	l := obs.Label{Key: "node", Value: node}
-	c := func(name, help string, ctr *obs.Counter) {
-		r.RegisterCounter("pcelisp_xtr_"+name, help, ctr, l)
-	}
-	c("encap_packets_total", "Packets encapsulated toward remote RLOCs.", &m.EncapPackets)
-	c("decap_packets_total", "Packets decapsulated for local delivery.", &m.DecapPackets)
-	c("cache_miss_drops_total", "Data packets dropped by the drop miss policy during resolution.", &m.CacheMissDrops)
-	c("queued_packets_total", "Packets buffered by the queue miss policy.", &m.QueuedPackets)
-	c("queue_overflows_total", "Buffer-full drops under the queue miss policy.", &m.QueueOverflows)
-	c("queue_timeouts_total", "Buffered packets dropped because resolution never answered.", &m.QueueTimeouts)
-	c("replayed_packets_total", "Buffered packets sent after late mapping arrival.", &m.Replayed)
-	c("resolutions_started_total", "Mapping-system resolutions triggered by cache misses.", &m.ResolutionsStarted)
-	c("resolutions_failed_total", "Resolutions that came back negative or unusable.", &m.ResolutionsFailed)
-	c("resolutions_suppressed_total", "Resolutions skipped via the negative cache.", &m.ResolutionsSuppressed)
-	c("flow_mappings_used_total", "Encapsulations that used a per-flow PCE entry.", &m.FlowMappingsUsed)
-	c("non_eid_forwarded_total", "Intercepted packets that were not EID-sourced.", &m.NonEIDForwarded)
-	c("probes_sent_total", "RLOC probes sent.", &m.ProbesSent)
-	c("probe_replies_sent_total", "RLOC probe replies sent.", &m.ProbeRepliesSent)
-	c("probe_acks_total", "RLOC probe acknowledgements received.", &m.ProbeAcks)
-	c("probe_timeouts_total", "RLOC probe timeouts.", &m.ProbeTimeouts)
-	c("probes_skipped_total", "Probe rounds withheld because the local egress was down.", &m.ProbesSkipped)
-	c("locator_downs_total", "Probe-driven locator down transitions.", &m.LocatorDowns)
-	c("locator_ups_total", "Probe-driven locator up transitions.", &m.LocatorUps)
-	c("egress_downs_total", "Local egress-watch down transitions.", &m.EgressDowns)
-	c("egress_ups_total", "Local egress-watch up transitions.", &m.EgressUps)
-	c("telemetry_reports_total", "Link-load telemetry reports streamed to the TE collector.", &m.TelemetryReports)
-	c("telemetry_bytes_total", "Bytes of link-load telemetry streamed to the TE collector.", &m.TelemetryBytes)
-	c("mappings_rejected_total", "Mappings refused by install hardening (no locators, overclaim floor).", &m.MappingsRejected)
-	c("gleans_suppressed_total", "New flows whose decap-path gleaning was rate-limited.", &m.GleansSuppressed)
-	r.RegisterHistogram("pcelisp_xtr_resolution_seconds", "Cache-miss resolution latency (request to applied answer).", &m.ResolutionSeconds, l)
-}
-
-// snapshot renders the live counters as the legacy stats struct.
-func (m *xtrMetrics) snapshot() XTRStats {
-	return XTRStats{
-		EncapPackets:          m.EncapPackets.Load(),
-		DecapPackets:          m.DecapPackets.Load(),
-		CacheMissDrops:        m.CacheMissDrops.Load(),
-		QueuedPackets:         m.QueuedPackets.Load(),
-		QueueOverflows:        m.QueueOverflows.Load(),
-		QueueTimeouts:         m.QueueTimeouts.Load(),
-		Replayed:              m.Replayed.Load(),
-		ResolutionsStarted:    m.ResolutionsStarted.Load(),
-		ResolutionsFailed:     m.ResolutionsFailed.Load(),
-		ResolutionsSuppressed: m.ResolutionsSuppressed.Load(),
-		FlowMappingsUsed:      m.FlowMappingsUsed.Load(),
-		NonEIDForwarded:       m.NonEIDForwarded.Load(),
-		ProbesSent:            m.ProbesSent.Load(),
-		ProbeRepliesSent:      m.ProbeRepliesSent.Load(),
-		ProbeAcks:             m.ProbeAcks.Load(),
-		ProbeTimeouts:         m.ProbeTimeouts.Load(),
-		ProbesSkipped:         m.ProbesSkipped.Load(),
-		LocatorDowns:          m.LocatorDowns.Load(),
-		LocatorUps:            m.LocatorUps.Load(),
-		EgressDowns:           m.EgressDowns.Load(),
-		EgressUps:             m.EgressUps.Load(),
-		TelemetryReports:      m.TelemetryReports.Load(),
-		TelemetryBytes:        m.TelemetryBytes.Load(),
-		MappingsRejected:      m.MappingsRejected.Load(),
-		GleansSuppressed:      m.GleansSuppressed.Load(),
-	}
-}
 
 // XTRConfig configures a tunnel router.
 type XTRConfig struct {
@@ -358,15 +243,13 @@ type XTR struct {
 	// that the template fast path is byte-identical.
 	disableFastPath bool
 
-	// met holds the live metric set (see xtrMetrics); Stats() snapshots
-	// it. rec is the control-plane flight recorder (nil-safe).
+	// rec is the control-plane flight recorder (nil-safe).
 	met xtrMetrics
 	rec *obs.FlightRecorder
 }
 
-// Stats snapshots the xTR's activity counters — the legacy stats view,
-// now a thin read over the live obs metric set.
-func (x *XTR) Stats() XTRStats { return x.met.snapshot() }
+// Stats snapshots the xTR's activity counters.
+func (x *XTR) Stats() XTRStats { return obs.Snapshot[XTRStats](&x.met.xtrCounters) }
 
 type queuedPacket struct {
 	data     []byte
@@ -422,7 +305,7 @@ func NewXTR(rt runtime.Runtime, host runtime.Host, cfg XTRConfig) *XTR {
 		rec:         cfg.Recorder,
 	}
 	x.met.ResolutionSeconds.Init(resolutionBounds)
-	x.met.register(cfg.Obs, host.HostName())
+	cfg.Obs.RegisterSet("pcelisp_xtr_", &x.met, obs.Label{Key: "node", Value: host.HostName()})
 	x.Cache.RegisterMetrics(cfg.Obs, host.HostName(), obs.Label{Key: "cache", Value: "itr"})
 	host.AddFrameSniffer(x.InterceptFrame)
 	host.BindUDPRaw(packet.PortLISPData, x.DecapFrame)

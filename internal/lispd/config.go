@@ -171,12 +171,22 @@ func Load(path string) (*Config, error) {
 	if err != nil {
 		return nil, err
 	}
+	cfg, err := parseConfig(data)
+	if err != nil {
+		return nil, fmt.Errorf("lispd: %s: %w", path, err)
+	}
+	return cfg, nil
+}
+
+// parseConfig is Load past the file read: operator-written bytes in, a
+// validated Config or an error out — never a panic (FuzzConfig).
+func parseConfig(data []byte) (*Config, error) {
 	cfg := &Config{}
 	if err := json.Unmarshal(data, cfg); err != nil {
-		return nil, fmt.Errorf("lispd: parse %s: %w", path, err)
+		return nil, fmt.Errorf("parse: %w", err)
 	}
 	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("lispd: %s: %w", path, err)
+		return nil, err
 	}
 	return cfg, nil
 }

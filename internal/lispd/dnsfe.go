@@ -99,62 +99,23 @@ func nameUnder(name, zone string) bool {
 	return name == zone || strings.HasSuffix(name, "."+zone)
 }
 
+// feCounters is the front end's one counter list: the pcelisp_dnsfe_*
+// series, live as obs.Counter cells and snapshotted as FrontEndStats.
+type feCounters[T any] struct {
+	Queries    T `metric:"queries_total" help:"DNS queries received by the front end."`
+	Answered   T `metric:"answered_total" help:"Queries answered authoritatively (zone records or view overrides)."`
+	Forwarded  T `metric:"forwarded_total" help:"Queries forwarded toward a remote authoritative server."`
+	Returned   T `metric:"returned_total" help:"Forwarded answers relayed back to clients."`
+	Refused    T `metric:"refused_total" help:"Queries refused (no matching view, or recursion denied)."`
+	NXDomain   T `metric:"nxdomain_total" help:"NXDOMAIN answers sent."`
+	Orphaned   T `metric:"orphaned_total" help:"Replies matching no pending query."`
+	ViewHits   T `metric:"view_hits_total" help:"Answers served from a view's host overrides."`
+	DroppedFwd T `metric:"dropped_fwd_total" help:"Forwarded queries whose target had no route."`
+	Reloads    T `metric:"reloads_total" help:"DNS zone reloads applied."`
+}
+
 // FrontEndStats is a snapshot of front-end activity.
-type FrontEndStats struct {
-	Queries    uint64
-	Answered   uint64 // authoritative / view answers
-	Forwarded  uint64
-	Returned   uint64 // forwarded answers relayed back to clients
-	Refused    uint64 // no view matched, or recursion denied
-	NXDomain   uint64
-	Orphaned   uint64 // replies matching no pending query
-	ViewHits   uint64 // answers served from a view's hosts override
-	DroppedFwd uint64 // forward target had no route
-	Reloads    uint64 // zone swaps applied
-}
-
-// feMetrics is the live counter set behind FrontEndStats.
-type feMetrics struct {
-	Queries    obs.Counter
-	Answered   obs.Counter
-	Forwarded  obs.Counter
-	Returned   obs.Counter
-	Refused    obs.Counter
-	NXDomain   obs.Counter
-	Orphaned   obs.Counter
-	ViewHits   obs.Counter
-	DroppedFwd obs.Counter
-	Reloads    obs.Counter
-}
-
-func (m *feMetrics) register(r *obs.Registry, node string) {
-	l := obs.Label{Key: "node", Value: node}
-	r.RegisterCounter("pcelisp_dnsfe_queries_total", "DNS queries received by the front end.", &m.Queries, l)
-	r.RegisterCounter("pcelisp_dnsfe_answered_total", "Queries answered authoritatively (zone records or view overrides).", &m.Answered, l)
-	r.RegisterCounter("pcelisp_dnsfe_forwarded_total", "Queries forwarded toward a remote authoritative server.", &m.Forwarded, l)
-	r.RegisterCounter("pcelisp_dnsfe_returned_total", "Forwarded answers relayed back to clients.", &m.Returned, l)
-	r.RegisterCounter("pcelisp_dnsfe_refused_total", "Queries refused (no matching view, or recursion denied).", &m.Refused, l)
-	r.RegisterCounter("pcelisp_dnsfe_nxdomain_total", "NXDOMAIN answers sent.", &m.NXDomain, l)
-	r.RegisterCounter("pcelisp_dnsfe_orphaned_total", "Replies matching no pending query.", &m.Orphaned, l)
-	r.RegisterCounter("pcelisp_dnsfe_view_hits_total", "Answers served from a view's host overrides.", &m.ViewHits, l)
-	r.RegisterCounter("pcelisp_dnsfe_dropped_fwd_total", "Forwarded queries whose target had no route.", &m.DroppedFwd, l)
-	r.RegisterCounter("pcelisp_dnsfe_reloads_total", "DNS zone reloads applied.", &m.Reloads, l)
-}
-
-func (m *feMetrics) snapshot() FrontEndStats {
-	return FrontEndStats{
-		Queries:    m.Queries.Load(),
-		Answered:   m.Answered.Load(),
-		Forwarded:  m.Forwarded.Load(),
-		Returned:   m.Returned.Load(),
-		Refused:    m.Refused.Load(),
-		NXDomain:   m.NXDomain.Load(),
-		Orphaned:   m.Orphaned.Load(),
-		ViewHits:   m.ViewHits.Load(),
-		DroppedFwd: m.DroppedFwd.Load(),
-		Reloads:    m.Reloads.Load(),
-	}
-}
+type FrontEndStats = feCounters[uint64]
 
 // pendingQuery is one client resolution in flight through a forwarder.
 type pendingQuery struct {
@@ -175,7 +136,7 @@ type dnsFrontEnd struct {
 	zone atomic.Pointer[dnsZone]
 	pce  *core.PCE // nil when the daemon has no PCE role
 	pend map[uint16]pendingQuery
-	met  feMetrics
+	met  feCounters[obs.Counter]
 	reg  *obs.Registry // per-view counters resolve through get-or-create
 }
 
@@ -187,7 +148,7 @@ func newDNSFrontEnd(host runtime.Host, addr netaddr.Addr, cfg *DNSConfig, pce *c
 		pend: make(map[uint16]pendingQuery),
 		reg:  reg,
 	}
-	fe.met.register(reg, host.HostName())
+	reg.RegisterSet("pcelisp_dnsfe_", &fe.met, obs.Label{Key: "node", Value: host.HostName()})
 	fe.zone.Store(fe.compile(cfg))
 	host.BindUDP(addr, packet.PortDNS, fe.handle)
 	return fe
@@ -208,7 +169,7 @@ func (fe *dnsFrontEnd) compile(cfg *DNSConfig) *dnsZone {
 }
 
 // Stats returns a snapshot of the front end's counters.
-func (fe *dnsFrontEnd) Stats() FrontEndStats { return fe.met.snapshot() }
+func (fe *dnsFrontEnd) Stats() FrontEndStats { return obs.Snapshot[FrontEndStats](&fe.met) }
 
 // swap atomically installs a new compiled zone. In-flight resolutions
 // (fe.pend) are untouched: replies arriving after the swap still reach

@@ -84,36 +84,39 @@ func TestLoad(t *testing.T) {
 	}
 }
 
+// configCases is the TestConfigValidation table; FuzzConfig seeds its
+// corpus from the same mutations.
+var configCases = []struct {
+	name   string
+	mutate func(*Config)
+	want   string // substring of the error ("" = valid)
+}{
+	{"valid", func(c *Config) {}, ""},
+	{"zero locators", func(c *Config) { c.Site.Locators = nil }, "zero locators"},
+	{"unknown key id", func(c *Config) { c.AuthKeyID = "nope" }, "references no declared key"},
+	{"peer route swallowing the site prefix", func(c *Config) {
+		c.Peers = []PeerConfig{{Prefix: "100.0.0.0/12", Endpoint: "127.0.0.1:4000"}}
+	}, "overlaps the site's own EID prefix"},
+	{"interior host route accepted", func(c *Config) {
+		c.Peers = []PeerConfig{{Prefix: "100.1.2.0/24", Endpoint: "127.0.0.1:4000"}}
+	}, ""},
+	{"whole-site interior route accepted", func(c *Config) {
+		c.Peers = []PeerConfig{{Prefix: "100.1.0.0/16", Endpoint: "127.0.0.1:4000"}}
+	}, ""},
+	{"site outside eid space", func(c *Config) { c.Site.EIDPrefix = "99.1.0.0/16" }, "outside eidSpace"},
+	{"locator inside eid space", func(c *Config) { c.Site.Locators[0].RLOC = "100.3.0.1" }, "inside the EID space"},
+	{"no roles", func(c *Config) { c.Site = nil; c.PCE = nil }, "at least one role"},
+	{"bad policy", func(c *Config) { c.PCE.Policy = "clairvoyant" }, "unknown"},
+	{"bad view cidr", func(c *Config) { c.DNS.Views[0].CIDRs = []string{"not-a-prefix"} }, "cidr"},
+	{"view without cidrs", func(c *Config) { c.DNS.Views[0].CIDRs = nil }, "no cidrs"},
+	{"bad miss policy", func(c *Config) { c.Site.MissPolicy = "hope" }, "missPolicy"},
+	{"duplicate key id", func(c *Config) {
+		c.Keys = append(c.Keys, KeyConfig{ID: "plane", Secret: "again"})
+	}, "duplicate key id"},
+}
+
 func TestConfigValidation(t *testing.T) {
-	cases := []struct {
-		name   string
-		mutate func(*Config)
-		want   string // substring of the error ("" = valid)
-	}{
-		{"valid", func(c *Config) {}, ""},
-		{"zero locators", func(c *Config) { c.Site.Locators = nil }, "zero locators"},
-		{"unknown key id", func(c *Config) { c.AuthKeyID = "nope" }, "references no declared key"},
-		{"peer route swallowing the site prefix", func(c *Config) {
-			c.Peers = []PeerConfig{{Prefix: "100.0.0.0/12", Endpoint: "127.0.0.1:4000"}}
-		}, "overlaps the site's own EID prefix"},
-		{"interior host route accepted", func(c *Config) {
-			c.Peers = []PeerConfig{{Prefix: "100.1.2.0/24", Endpoint: "127.0.0.1:4000"}}
-		}, ""},
-		{"whole-site interior route accepted", func(c *Config) {
-			c.Peers = []PeerConfig{{Prefix: "100.1.0.0/16", Endpoint: "127.0.0.1:4000"}}
-		}, ""},
-		{"site outside eid space", func(c *Config) { c.Site.EIDPrefix = "99.1.0.0/16" }, "outside eidSpace"},
-		{"locator inside eid space", func(c *Config) { c.Site.Locators[0].RLOC = "100.3.0.1" }, "inside the EID space"},
-		{"no roles", func(c *Config) { c.Site = nil; c.PCE = nil }, "at least one role"},
-		{"bad policy", func(c *Config) { c.PCE.Policy = "clairvoyant" }, "unknown"},
-		{"bad view cidr", func(c *Config) { c.DNS.Views[0].CIDRs = []string{"not-a-prefix"} }, "cidr"},
-		{"view without cidrs", func(c *Config) { c.DNS.Views[0].CIDRs = nil }, "no cidrs"},
-		{"bad miss policy", func(c *Config) { c.Site.MissPolicy = "hope" }, "missPolicy"},
-		{"duplicate key id", func(c *Config) {
-			c.Keys = append(c.Keys, KeyConfig{ID: "plane", Secret: "again"})
-		}, "duplicate key id"},
-	}
-	for _, tc := range cases {
+	for _, tc := range configCases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig(0)
 			tc.mutate(cfg)

@@ -23,53 +23,29 @@ type MapServer struct {
 	// so forged "no mapping" answers cannot impersonate it.
 	ReplySignKey []byte
 
-	met msMetrics
+	met msCounters[obs.Counter]
+}
+
+// msCounters is the map-server's one counter list: the pcelisp_ms_*
+// series, live as obs.Counter cells and snapshotted as MapServerStats.
+type msCounters[T any] struct {
+	Registers    T `metric:"registers_total" help:"Map-Registers accepted by the map-server."`
+	BadAuth      T `metric:"bad_auth_total" help:"Map-Registers rejected for bad authentication."`
+	Forwarded    T `metric:"forwarded_total" help:"Map-Requests forwarded to a registered ETR."`
+	Negatives    T `metric:"negatives_total" help:"Negative Map-Replies sent for unregistered prefixes."`
+	NotifiesSent T `metric:"notifies_sent_total" help:"Map-Notify messages sent."`
 }
 
 // MapServerStats counts map-server activity.
-type MapServerStats struct {
-	Registers    uint64
-	BadAuth      uint64
-	Forwarded    uint64
-	Negatives    uint64
-	NotifiesSent uint64
-}
-
-// msMetrics is the live counter set behind MapServerStats.
-type msMetrics struct {
-	Registers    obs.Counter
-	BadAuth      obs.Counter
-	Forwarded    obs.Counter
-	Negatives    obs.Counter
-	NotifiesSent obs.Counter
-}
-
-func (m *msMetrics) register(r *obs.Registry, node string) {
-	l := obs.Label{Key: "node", Value: node}
-	r.RegisterCounter("pcelisp_ms_registers_total", "Map-Registers accepted by the map-server.", &m.Registers, l)
-	r.RegisterCounter("pcelisp_ms_bad_auth_total", "Map-Registers rejected for bad authentication.", &m.BadAuth, l)
-	r.RegisterCounter("pcelisp_ms_forwarded_total", "Map-Requests forwarded to a registered ETR.", &m.Forwarded, l)
-	r.RegisterCounter("pcelisp_ms_negatives_total", "Negative Map-Replies sent for unregistered prefixes.", &m.Negatives, l)
-	r.RegisterCounter("pcelisp_ms_notifies_sent_total", "Map-Notify messages sent.", &m.NotifiesSent, l)
-}
-
-func (m *msMetrics) snapshot() MapServerStats {
-	return MapServerStats{
-		Registers:    m.Registers.Load(),
-		BadAuth:      m.BadAuth.Load(),
-		Forwarded:    m.Forwarded.Load(),
-		Negatives:    m.Negatives.Load(),
-		NotifiesSent: m.NotifiesSent.Load(),
-	}
-}
+type MapServerStats = msCounters[uint64]
 
 // Stats returns a snapshot of the server's counters.
-func (ms *MapServer) Stats() MapServerStats { return ms.met.snapshot() }
+func (ms *MapServer) Stats() MapServerStats { return obs.Snapshot[MapServerStats](&ms.met) }
 
 // RegisterMetrics publishes the server's counters on r under
 // pcelisp_ms_* with a node label.
 func (ms *MapServer) RegisterMetrics(r *obs.Registry) {
-	ms.met.register(r, ms.agent.node.Name())
+	r.RegisterSet("pcelisp_ms_", &ms.met, obs.Label{Key: "node", Value: ms.agent.node.Name()})
 }
 
 type registeredSite struct {
@@ -159,46 +135,32 @@ type MapResolver struct {
 	met mrMetrics
 }
 
+// mrCounters is the map-resolver's one counter list: the pcelisp_mr_*
+// series, live as obs.Counter cells and snapshotted as MapResolverStats.
+type mrCounters[T any] struct {
+	Forwarded  T `metric:"forwarded_total" help:"Map-Requests forwarded to the map-server."`
+	QueueDrops T `metric:"queue_drops_total" help:"Map-Requests shed because the service backlog exceeded QueueCap."`
+	QuotaDrops T `metric:"quota_drops_total" help:"Map-Requests shed by the per-source quota."`
+}
+
 // MapResolverStats counts map-resolver activity.
-type MapResolverStats struct {
-	Forwarded uint64
-	// QueueDrops counts requests shed because the service backlog
-	// exceeded QueueCap.
-	QueueDrops uint64
-	// QuotaDrops counts requests shed by the per-source quota.
-	QuotaDrops uint64
-}
+type MapResolverStats = mrCounters[uint64]
 
-// mrMetrics is the live counter set behind MapResolverStats, plus the
-// instantaneous service-queue depth in slots.
+// mrMetrics is the resolver's live metric set.
 type mrMetrics struct {
-	Forwarded  obs.Counter
-	QueueDrops obs.Counter
-	QuotaDrops obs.Counter
-	QueueDepth obs.Gauge
-}
-
-func (m *mrMetrics) register(r *obs.Registry, node string) {
-	l := obs.Label{Key: "node", Value: node}
-	r.RegisterCounter("pcelisp_mr_forwarded_total", "Map-Requests forwarded to the map-server.", &m.Forwarded, l)
-	r.RegisterCounter("pcelisp_mr_queue_drops_total", "Map-Requests shed because the service backlog exceeded QueueCap.", &m.QueueDrops, l)
-	r.RegisterCounter("pcelisp_mr_quota_drops_total", "Map-Requests shed by the per-source quota.", &m.QuotaDrops, l)
-	r.RegisterGauge("pcelisp_mr_queue_depth", "Service-queue backlog in request slots.", &m.QueueDepth, l)
+	mrCounters[obs.Counter]
+	QueueDepth obs.Gauge `metric:"queue_depth" help:"Service-queue backlog in request slots."`
 }
 
 // Stats returns a snapshot of the resolver's counters.
 func (mr *MapResolver) Stats() MapResolverStats {
-	return MapResolverStats{
-		Forwarded:  mr.met.Forwarded.Load(),
-		QueueDrops: mr.met.QueueDrops.Load(),
-		QuotaDrops: mr.met.QuotaDrops.Load(),
-	}
+	return obs.Snapshot[MapResolverStats](&mr.met.mrCounters)
 }
 
 // RegisterMetrics publishes the resolver's counters on r under
 // pcelisp_mr_* with a node label.
 func (mr *MapResolver) RegisterMetrics(r *obs.Registry) {
-	mr.met.register(r, mr.agent.node.Name())
+	r.RegisterSet("pcelisp_mr_", &mr.met, obs.Label{Key: "node", Value: mr.agent.node.Name()})
 }
 
 // NewMapResolver attaches a map-resolver to node at addr, forwarding to

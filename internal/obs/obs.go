@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -237,6 +238,67 @@ func (r *Registry) RegisterHistogram(name, help string, h *Histogram, labels ...
 		return
 	}
 	r.register(name, help, kindHistogram, &series{name: name, labels: sortLabels(labels), k: kindHistogram, h: h}, false)
+}
+
+// RegisterSet registers every metric cell of the struct set points to:
+// a Counter, Gauge or Histogram field tagged `metric:"name" help:"text"`
+// becomes the series prefix+name with the given labels, and an embedded
+// struct is walked the same way. This is the one way a component
+// declares its metrics — the field list is the series list. A cell
+// without both tags, or a field that is not a cell, panics, and does so
+// with a nil registry too: every set is checked when its owner is
+// constructed, whether or not anything is scraping it.
+func (r *Registry) RegisterSet(prefix string, set any, labels ...Label) {
+	r.registerFields(prefix, reflect.ValueOf(set).Elem(), labels)
+}
+
+func (r *Registry) registerFields(prefix string, v reflect.Value, labels []Label) {
+	t := v.Type()
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if f.Anonymous {
+			r.registerFields(prefix, v.Field(i), labels)
+			continue
+		}
+		name, help := f.Tag.Get("metric"), f.Tag.Get("help")
+		if name == "" || help == "" {
+			panic(fmt.Sprintf("obs: %s.%s needs metric and help tags", t, f.Name))
+		}
+		if r != nil {
+			name = prefix + name // a nil registry checks the set and builds nothing
+		}
+		switch m := v.Field(i).Addr().Interface().(type) {
+		case *Counter:
+			r.RegisterCounter(name, help, m, labels...)
+		case *Gauge:
+			r.RegisterGauge(name, help, m, labels...)
+		case *Histogram:
+			r.RegisterHistogram(name, help, m, labels...)
+		default:
+			panic(fmt.Sprintf("obs: %s.%s is a %s, not a metric cell", t, f.Name, f.Type))
+		}
+	}
+}
+
+// Snapshot reads a set of live counters into its plain-value twin: S
+// and *live are the same field list instantiated with uint64 and with
+// Counter, and each field of the result holds the current count of the
+// cell in the same position. Any other pairing panics.
+func Snapshot[S, L any](live *L) S {
+	var out S
+	dst, src := reflect.ValueOf(&out).Elem(), reflect.ValueOf(live).Elem()
+	if dst.NumField() != src.NumField() {
+		panic(fmt.Sprintf("obs: %s and %s differ in length", dst.Type(), src.Type()))
+	}
+	for i := 0; i < src.NumField(); i++ {
+		c, ok := src.Field(i).Addr().Interface().(*Counter)
+		if !ok || dst.Type().Field(i).Name != src.Type().Field(i).Name {
+			panic(fmt.Sprintf("obs: %s.%s does not mirror a counter %s.%s",
+				dst.Type(), dst.Type().Field(i).Name, src.Type(), src.Type().Field(i).Name))
+		}
+		dst.Field(i).SetUint(c.Load())
+	}
+	return out
 }
 
 // Counter returns the counter for (name, labels), creating and

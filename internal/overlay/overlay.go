@@ -27,56 +27,22 @@ import (
 	"github.com/pcelisp/pcelisp/internal/runtime"
 )
 
+// hostCounters is the host's one counter list: the pcelisp_overlay_*
+// series, live as obs.Counter cells (atomic, so a scraping admin endpoint
+// reads them without posting to the loop) and snapshotted as Stats.
+type hostCounters[T any] struct {
+	RxFrames      T `metric:"rx_frames_total" help:"Frames received by the host socket (including loopback deliveries)."`
+	TxFrames      T `metric:"tx_frames_total" help:"Frames forwarded to a peer socket."`
+	TxErrors      T `metric:"tx_errors_total" help:"Frames dropped because the socket write to the peer failed."`
+	Consumed      T `metric:"consumed_total" help:"Frames consumed by a sniffer (PCE bump-in-the-wire)."`
+	NoRoute       T `metric:"no_route_drops_total" help:"Frames dropped with no local bind and no peer route."`
+	Unhandled     T `metric:"unhandled_total" help:"Local frames with no matching binding."`
+	Malformed     T `metric:"decode_errors_total" help:"Frames dropped because IPv4/UDP decoding failed."`
+	MulticastDrop T `metric:"multicast_drops_total" help:"Outbound multicast frames dropped (no multicast fabric)."`
+}
+
 // Stats is a snapshot of host activity; read it via Host.Stats.
-type Stats struct {
-	RxFrames      uint64
-	TxFrames      uint64 // frames the socket accepted toward a peer
-	TxErrors      uint64 // frames the socket refused (write error)
-	Consumed      uint64 // frames consumed by a sniffer
-	NoRoute       uint64 // frames with no local bind and no peer route
-	Unhandled     uint64 // local frames with no matching binding
-	Malformed     uint64 // frames that failed to decode
-	MulticastDrop uint64
-}
-
-// hostMetrics is the live counter set behind Stats. The counters are
-// atomic, so a scraping admin endpoint reads them without posting to the
-// loop.
-type hostMetrics struct {
-	RxFrames      obs.Counter
-	TxFrames      obs.Counter
-	TxErrors      obs.Counter
-	Consumed      obs.Counter
-	NoRoute       obs.Counter
-	Unhandled     obs.Counter
-	DecodeErrors  obs.Counter
-	MulticastDrop obs.Counter
-}
-
-func (m *hostMetrics) register(r *obs.Registry, node string) {
-	l := obs.Label{Key: "node", Value: node}
-	r.RegisterCounter("pcelisp_overlay_rx_frames_total", "Frames received by the host socket (including loopback deliveries).", &m.RxFrames, l)
-	r.RegisterCounter("pcelisp_overlay_tx_frames_total", "Frames forwarded to a peer socket.", &m.TxFrames, l)
-	r.RegisterCounter("pcelisp_overlay_tx_errors_total", "Frames dropped because the socket write to the peer failed.", &m.TxErrors, l)
-	r.RegisterCounter("pcelisp_overlay_consumed_total", "Frames consumed by a sniffer (PCE bump-in-the-wire).", &m.Consumed, l)
-	r.RegisterCounter("pcelisp_overlay_no_route_drops_total", "Frames dropped with no local bind and no peer route.", &m.NoRoute, l)
-	r.RegisterCounter("pcelisp_overlay_unhandled_total", "Local frames with no matching binding.", &m.Unhandled, l)
-	r.RegisterCounter("pcelisp_overlay_decode_errors_total", "Frames dropped because IPv4/UDP decoding failed.", &m.DecodeErrors, l)
-	r.RegisterCounter("pcelisp_overlay_multicast_drops_total", "Outbound multicast frames dropped (no multicast fabric).", &m.MulticastDrop, l)
-}
-
-func (m *hostMetrics) snapshot() Stats {
-	return Stats{
-		RxFrames:      m.RxFrames.Load(),
-		TxFrames:      m.TxFrames.Load(),
-		TxErrors:      m.TxErrors.Load(),
-		Consumed:      m.Consumed.Load(),
-		NoRoute:       m.NoRoute.Load(),
-		Unhandled:     m.Unhandled.Load(),
-		Malformed:     m.DecodeErrors.Load(),
-		MulticastDrop: m.MulticastDrop.Load(),
-	}
-}
+type Stats = hostCounters[uint64]
 
 type bindKey struct {
 	addr netaddr.Addr // invalid = wildcard
@@ -107,7 +73,7 @@ type Host struct {
 	closeOnce sync.Once
 	readDone  chan struct{}
 
-	met hostMetrics
+	met hostCounters[obs.Counter]
 
 	// Logf, when set before Start, replaces log.Printf for the host's
 	// once-per-source drop diagnostics (tests capture it).
@@ -155,12 +121,12 @@ func New(name string, loop *runtime.Loop, listen string) (*Host, error) {
 }
 
 // Stats returns a snapshot of the host's counters.
-func (h *Host) Stats() Stats { return h.met.snapshot() }
+func (h *Host) Stats() Stats { return obs.Snapshot[Stats](&h.met) }
 
 // RegisterMetrics publishes the host's counters on r under
 // pcelisp_overlay_* with a node label. Call before Start.
 func (h *Host) RegisterMetrics(r *obs.Registry) {
-	h.met.register(r, h.name)
+	r.RegisterSet("pcelisp_overlay_", &h.met, obs.Label{Key: "node", Value: h.name})
 }
 
 // logDrop emits one diagnostic line per (reason, source) pair — a silent
@@ -272,7 +238,7 @@ func (h *Host) receive(data []byte) {
 	}
 	dst, ok := packet.PeekIPv4Dst(data)
 	if !ok {
-		h.met.DecodeErrors.Inc()
+		h.met.Malformed.Inc()
 		h.logDrop("frame decode failure", data)
 		return
 	}
@@ -301,7 +267,7 @@ func (h *Host) deliver(dst netaddr.Addr, data []byte) {
 	pk := packet.NewPacket(data, packet.LayerTypeIPv4, packet.NoCopy)
 	ipl := pk.Layer(packet.LayerTypeIPv4)
 	if ipl == nil {
-		h.met.DecodeErrors.Inc()
+		h.met.Malformed.Inc()
 		h.logDrop("frame decode failure", data)
 		return
 	}
@@ -312,7 +278,7 @@ func (h *Host) deliver(dst netaddr.Addr, data []byte) {
 	}
 	udpl := pk.Layer(packet.LayerTypeUDP)
 	if udpl == nil {
-		h.met.DecodeErrors.Inc()
+		h.met.Malformed.Inc()
 		h.logDrop("frame decode failure", data)
 		return
 	}
@@ -385,7 +351,7 @@ func (h *Host) RouteUp(dst netaddr.Addr) bool {
 func (h *Host) Output(data []byte) error {
 	dst, ok := packet.PeekIPv4Dst(data)
 	if !ok {
-		h.met.DecodeErrors.Inc()
+		h.met.Malformed.Inc()
 		h.logDrop("frame decode failure", data)
 		return fmt.Errorf("overlay: malformed frame")
 	}

@@ -135,7 +135,7 @@ func (s *Sim) TimerAt(t Time, h TimerHandler, arg TimerArg) {
 // core, irc, mapsys, dnssim) have zero call sites — they arm timers
 // exclusively through runtime.Runtime.ScheduleTimer with typed
 // handlers; keep it that way. The remaining users are the scenario
-// scripts in internal/experiments, cmd/lispsim and
+// scripts in internal/experiments, cmd/experiments -scenario and
 // examples/multihoming-te, where one allocation per scripted event is
 // irrelevant and a typed handler per script would only add code.
 func (s *Sim) ScheduleFunc(d Time, fn func()) {
