@@ -32,6 +32,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"time"
@@ -699,6 +700,10 @@ func (p *PCE) HandleControl(src, dst netaddr.Addr, udp *packet.UDP) {
 		}
 		p.fetchBusyUntil = start + cost
 		p.met.FetchQueueDepth.Set(int64((p.fetchBusyUntil - now) / cost))
+		// The fetch outlives this call, and answerFetch checks its MAC over
+		// Contents and AuthData, which alias the datagram the host may
+		// reuse by then: queue a decode of bytes of its own.
+		msg, _ = decodePCECP(bytes.Clone(udp.LayerPayload()))
 		p.rt.ScheduleTimer(p.fetchBusyUntil-now, p,
 			runtime.TimerArg{Kind: pceTimerFetchService, P: msg})
 	case packet.PCECPReverseMapPush:

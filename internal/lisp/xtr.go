@@ -1,6 +1,7 @@
 package lisp
 
 import (
+	"bytes"
 	"time"
 
 	"github.com/pcelisp/pcelisp/internal/netaddr"
@@ -506,7 +507,10 @@ func (x *XTR) dropOnMiss(dst netaddr.Addr, data []byte) {
 			x.met.QueueOverflows.Inc()
 		} else {
 			deadline := x.rt.Now() + x.cfg.QueueTimeout
-			x.queue[dst] = append(q, queuedPacket{data: data, deadline: deadline})
+			// data is a sniffed frame: the host may reuse its bytes once
+			// the sniffer returns (the overlay host does), so the queue
+			// keeps a copy.
+			x.queue[dst] = append(q, queuedPacket{data: bytes.Clone(data), deadline: deadline})
 			x.met.QueuedPackets.Inc()
 			if !x.queueTimer[dst] {
 				x.armQueueExpiry(dst, deadline)

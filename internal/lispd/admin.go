@@ -36,6 +36,7 @@ func newAdminServer(d *Daemon, addr string) (*adminServer, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", a.metrics)
 	mux.HandleFunc("/healthz", a.healthz)
+	mux.HandleFunc("/readyz", a.readyz)
 	mux.HandleFunc("/statusz", a.statusz)
 	mux.HandleFunc("/flightrecorder", a.flightRecorder)
 	// pprof's default-mux registrations are skipped (we never touch
@@ -59,16 +60,41 @@ func (a *adminServer) metrics(w http.ResponseWriter, _ *http.Request) {
 	a.d.reg.WritePrometheus(w)
 }
 
-func (a *adminServer) healthz(w http.ResponseWriter, _ *http.Request) {
+// running reports whether the daemon is started and not closing.
+func (a *adminServer) running() bool {
 	a.d.mu.Lock()
-	healthy := a.d.started && !a.d.closed
-	a.d.mu.Unlock()
-	if !healthy {
-		http.Error(w, "not running", http.StatusServiceUnavailable)
+	defer a.d.mu.Unlock()
+	return a.d.started && !a.d.closed
+}
+
+// probe answers a liveness or readiness check: "ok", or 503 and why not.
+func probe(w http.ResponseWriter, ok bool, whyNot string) {
+	if !ok {
+		http.Error(w, whyNot, http.StatusServiceUnavailable)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
+}
+
+// healthz is liveness: the process is up and the daemon running.
+func (a *adminServer) healthz(w http.ResponseWriter, _ *http.Request) {
+	probe(w, a.running(), "not running")
+}
+
+// readyDeadline is how long /readyz gives the loop to run its sentinel.
+const readyDeadline = time.Second
+
+// readyz is readiness, apart from liveness as CoreDNS keeps ready apart
+// from health: the daemon is running and its loop is turning — a sentinel
+// posted behind whatever is queued runs within readyDeadline. A daemon
+// that is alive but wedged or buried in backlog is not ready.
+func (a *adminServer) readyz(w http.ResponseWriter, _ *http.Request) {
+	if !a.running() {
+		probe(w, false, "not running")
+		return
+	}
+	probe(w, a.d.onLoop(readyDeadline, func() {}), "loop unresponsive")
 }
 
 func (a *adminServer) flightRecorder(w http.ResponseWriter, _ *http.Request) {
@@ -99,10 +125,11 @@ type statusSnapshot struct {
 // whose loop will never run the thunk.
 func (a *adminServer) statusz(w http.ResponseWriter, _ *http.Request) {
 	d := a.d
+	cfg := d.config() // Reload swaps the pointer under d.mu
 	st := statusSnapshot{
-		Name:   d.cfg.Name,
+		Name:   cfg.Name,
 		Listen: d.host.RealAddr().String(),
-		Config: redactConfig(d.cfg),
+		Config: redactConfig(cfg),
 		Peers:  d.host.Peers(),
 	}
 	if d.xtr != nil {
@@ -117,19 +144,14 @@ func (a *adminServer) statusz(w http.ResponseWriter, _ *http.Request) {
 		st.DNS = &fes
 	}
 	if d.xtr != nil {
-		done := make(chan struct{})
-		var cs cacheSummary
-		d.loop.Post(func() {
-			cs = cacheSummary{Entries: d.xtr.Cache.Len(), Stats: d.xtr.Cache.Stats()}
-			close(done)
-		})
-		select {
-		case <-done:
-			st.Cache = &cs
-		case <-time.After(2 * time.Second):
+		cs := new(cacheSummary)
+		if !d.onLoop(2*time.Second, func() {
+			*cs = cacheSummary{Entries: d.xtr.Cache.Len(), Stats: d.xtr.Cache.Stats()}
+		}) {
 			http.Error(w, "loop unresponsive", http.StatusServiceUnavailable)
 			return
 		}
+		st.Cache = cs
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

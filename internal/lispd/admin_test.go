@@ -208,3 +208,75 @@ func TestAdminReloadImmutable(t *testing.T) {
 		t.Fatalf("reload with changed admin address: err = %v, want rejection", err)
 	}
 }
+
+// TestReadyzFollowsTheLoop: /readyz is apart from /healthz — a daemon
+// whose loop is stuck is alive but not ready, and ready again once the
+// loop turns.
+func TestReadyzFollowsTheLoop(t *testing.T) {
+	cfg := testConfig(0)
+	cfg.Admin = "127.0.0.1:0"
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	d.Start()
+	base := d.AdminAddr()
+
+	if code, body := adminGet(t, base, "/readyz"); code != http.StatusOK || strings.TrimSpace(body) != "ok" {
+		t.Fatalf("readyz on a running daemon = %d %q", code, body)
+	}
+
+	unpark := parkLoop(t, d)
+	code, _ := adminGet(t, base, "/readyz") // takes readyDeadline
+	healthCode, _ := adminGet(t, base, "/healthz")
+	unpark()
+	if code != http.StatusServiceUnavailable || healthCode != http.StatusOK {
+		t.Fatalf("stuck loop: readyz = %d, healthz = %d; want 503 and 200", code, healthCode)
+	}
+	if code, _ := adminGet(t, base, "/readyz"); code != http.StatusOK {
+		t.Fatalf("readyz after the loop resumed = %d, want 200", code)
+	}
+}
+
+// TestStatuszDuringReload hammers /statusz while Reload swaps the config
+// pointer; under -race it fails if the handler reads the pointer without
+// the daemon lock.
+func TestStatuszDuringReload(t *testing.T) {
+	cfg := testConfig(0)
+	cfg.Admin = "127.0.0.1:0"
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	d.Start()
+	base := d.AdminAddr()
+
+	stop, reloaded := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(reloaded)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			next := testConfig(0)
+			next.Admin = cfg.Admin
+			next.DNS.Records = append(next.DNS.Records, RecordConfig{Name: fmt.Sprintf("r%d.d0.example", i), Addr: "100.1.9.9"})
+			if err := d.Reload(next); err != nil {
+				t.Errorf("reload %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		if code, body := adminGet(t, base, "/statusz"); code != http.StatusOK {
+			t.Errorf("statusz during reload = %d %.100q", code, body)
+			break
+		}
+	}
+	close(stop)
+	<-reloaded
+}

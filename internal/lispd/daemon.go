@@ -60,6 +60,7 @@ func New(cfg *Config) (*Daemon, error) {
 		rec:  obs.NewFlightRecorder(obs.DefaultRingSize),
 	}
 	host.RegisterMetrics(d.reg)
+	loop.RegisterMetrics(d.reg, obs.Label{Key: "node", Value: cfg.Name})
 
 	eidSpace := netaddr.MustParsePrefix(cfg.EIDSpace)
 
@@ -208,7 +209,15 @@ func (d *Daemon) Start() {
 	}
 }
 
-// Close stops the socket and the loop.
+// drainTimeout bounds how long Close waits for the loop to finish what
+// the socket reader had already handed it: a wedged loop must not hang
+// shutdown.
+const drainTimeout = 2 * time.Second
+
+// Close shuts the daemon down without losing what it had already read:
+// the socket reader stops first, the loop runs the frames it was handed
+// and writes their output, and only then does the socket close and the
+// loop stop.
 func (d *Daemon) Close() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -219,8 +228,37 @@ func (d *Daemon) Close() {
 	if d.admin != nil {
 		d.admin.close()
 	}
+	d.host.StopReading()
+	if d.started {
+		// A sentinel runs behind the frames already posted; handling them
+		// may loop more back through Output, hence the re-check.
+		deadline := time.Now().Add(drainTimeout)
+		for d.onLoop(time.Until(deadline), func() {}) && d.host.Inflight() > 0 {
+		}
+	}
 	d.host.Close()
 	d.loop.Stop()
+}
+
+// onLoop runs fn on the loop goroutine and reports whether it finished
+// within timeout — false means the loop is stopped or wedged, and fn may
+// still run later.
+func (d *Daemon) onLoop(timeout time.Duration, fn func()) bool {
+	done := make(chan struct{})
+	d.loop.Post(func() { fn(); close(done) })
+	select {
+	case <-done:
+		return true
+	case <-time.After(timeout):
+		return false
+	}
+}
+
+// config returns the active configuration; Reload swaps the pointer.
+func (d *Daemon) config() *Config {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.cfg
 }
 
 // Reload applies a new configuration. Only the DNS front end (records,
@@ -232,16 +270,17 @@ func (d *Daemon) Reload(cfg *Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if cfg.Listen != d.cfg.Listen || cfg.Name != d.cfg.Name {
+	cur := d.config()
+	if cfg.Listen != cur.Listen || cfg.Name != cur.Name {
 		return fmt.Errorf("lispd: reload cannot change listen/name (restart required)")
 	}
-	if cfg.Admin != d.cfg.Admin {
+	if cfg.Admin != cur.Admin {
 		return fmt.Errorf("lispd: reload cannot change admin address (restart required)")
 	}
-	if (cfg.Site == nil) != (d.cfg.Site == nil) || (cfg.PCE == nil) != (d.cfg.PCE == nil) {
+	if (cfg.Site == nil) != (cur.Site == nil) || (cfg.PCE == nil) != (cur.PCE == nil) {
 		return fmt.Errorf("lispd: reload cannot change roles (restart required)")
 	}
-	if cfg.Site != nil && cfg.Site.EIDPrefix != d.cfg.Site.EIDPrefix {
+	if cfg.Site != nil && cfg.Site.EIDPrefix != cur.Site.EIDPrefix {
 		return fmt.Errorf("lispd: reload cannot change site.eidPrefix (restart required)")
 	}
 	if cfg.DNS == nil {

@@ -194,12 +194,19 @@ func (h *endHost) recv(timeout time.Duration) []byte {
 // startPair boots the two test daemons and wires their peer routes.
 func startPair(t *testing.T) (*Daemon, *Daemon) {
 	t.Helper()
-	da, err := New(testConfig(0))
+	return startPairWith(t, testConfig(0), testConfig(1))
+}
+
+// startPairWith is startPair over (possibly adjusted) domain 0 and 1
+// configs.
+func startPairWith(t *testing.T, cfgA, cfgB *Config) (*Daemon, *Daemon) {
+	t.Helper()
+	da, err := New(cfgA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(da.Close)
-	db, err := New(testConfig(1))
+	db, err := New(cfgB)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,8 +48,9 @@ type Gauge struct{ v atomic.Int64 }
 // Set replaces the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add adjusts the value by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
+// Add adjusts the value by n (negative to decrease) and returns the new
+// value.
+func (g *Gauge) Add(n int64) int64 { return g.v.Add(n) }
 
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }

@@ -20,6 +20,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/pcelisp/pcelisp/internal/netaddr"
 	"github.com/pcelisp/pcelisp/internal/obs"
@@ -32,6 +33,7 @@ import (
 // reads them without posting to the loop) and snapshotted as Stats.
 type hostCounters[T any] struct {
 	RxFrames      T `metric:"rx_frames_total" help:"Frames received by the host socket (including loopback deliveries)."`
+	RxDropped     T `metric:"rx_dropped_total" help:"Inbound frames dropped because the host already had its cap of frames in flight to the loop."`
 	TxFrames      T `metric:"tx_frames_total" help:"Frames forwarded to a peer socket."`
 	TxErrors      T `metric:"tx_errors_total" help:"Frames dropped because the socket write to the peer failed."`
 	Consumed      T `metric:"consumed_total" help:"Frames consumed by a sniffer (PCE bump-in-the-wire)."`
@@ -43,6 +45,37 @@ type hostCounters[T any] struct {
 
 // Stats is a snapshot of host activity; read it via Host.Stats.
 type Stats = hostCounters[uint64]
+
+// hostMetrics is the live set: the counters plus the one gauge.
+type hostMetrics struct {
+	hostCounters[obs.Counter]
+	RxInflight obs.Gauge `metric:"rx_inflight" help:"Frames handed to the loop and not yet handled."`
+}
+
+const (
+	// frameSize is the pooled buffer size, above any frame that crosses a
+	// 1500-byte path. A larger datagram is still delivered whole, in a
+	// buffer of its own that is not recycled.
+	frameSize = 2048
+	// maxInflight caps the frame buffers one host may have out of its free
+	// list, so the memory between socket and loop is at most maxInflight ×
+	// frameSize however far the loop falls behind; buffers are made on
+	// demand, so a loop that keeps up holds only its peak in flight.
+	maxInflight = 1024
+	// recycleBatch is how many handled buffers the loop collects before it
+	// returns them under one lock (sooner when its queue runs empty).
+	recycleBatch = 32
+)
+
+// rxFrame is one inbound frame on its way to the loop. cap(data) is
+// frameSize for a pooled buffer and larger for a one-off. run is the
+// frame's own handle method, bound once when the buffer is made: posting
+// it costs a recycled buffer no closure.
+type rxFrame struct {
+	h    *Host
+	data []byte
+	run  func()
+}
 
 type bindKey struct {
 	addr netaddr.Addr // invalid = wildcard
@@ -70,10 +103,20 @@ type Host struct {
 	rawBinds map[uint16]runtime.RawUDPHandler
 
 	started   atomic.Bool
+	stopOnce  sync.Once
 	closeOnce sync.Once
 	readDone  chan struct{}
 
-	met hostCounters[obs.Counter]
+	// Ingress buffers (see enqueue). poolMu guards free and made; done is
+	// confined to the loop goroutine.
+	poolMu    sync.Mutex
+	free      []*rxFrame
+	made      int // buffers in existence, pooled or one-off: at most maxInflight
+	done      []*rxFrame
+	dropNoted atomic.Bool  // the first ingress drop has been noted for logging
+	dropSrc   netaddr.Addr // its inner source; written before the note is posted
+
+	met hostMetrics
 
 	// Logf, when set before Start, replaces log.Printf for the host's
 	// once-per-source drop diagnostics (tests capture it).
@@ -121,7 +164,10 @@ func New(name string, loop *runtime.Loop, listen string) (*Host, error) {
 }
 
 // Stats returns a snapshot of the host's counters.
-func (h *Host) Stats() Stats { return obs.Snapshot[Stats](&h.met) }
+func (h *Host) Stats() Stats { return obs.Snapshot[Stats](&h.met.hostCounters) }
+
+// Inflight reports how many frames are queued for the loop right now.
+func (h *Host) Inflight() int { return int(h.met.RxInflight.Load()) }
 
 // RegisterMetrics publishes the host's counters on r under
 // pcelisp_overlay_* with a node label. Call before Start.
@@ -198,16 +244,26 @@ func (h *Host) Start() {
 	go h.readLoop()
 }
 
-// Close shuts the socket and waits for the reader to exit. The loop keeps
-// running (it may serve other hosts); stop it separately.
-func (h *Host) Close() error {
-	var err error
-	h.closeOnce.Do(func() {
-		err = h.conn.Close()
+// StopReading stops the socket reader and waits for it to exit; the
+// socket stays open for writes, so the loop can finish what was already
+// read. Close calls it.
+func (h *Host) StopReading() {
+	h.stopOnce.Do(func() {
 		if h.started.Load() {
+			// A deadline in the past fails the blocked read; if setting it
+			// fails the socket is closed and the reader is exiting anyway.
+			h.conn.SetReadDeadline(time.Unix(1, 0))
 			<-h.readDone
 		}
 	})
+}
+
+// Close stops the reader and shuts the socket. The loop keeps running (it
+// may serve other hosts); stop it separately.
+func (h *Host) Close() error {
+	h.StopReading()
+	var err error
+	h.closeOnce.Do(func() { err = h.conn.Close() })
 	return err
 }
 
@@ -215,13 +271,76 @@ func (h *Host) readLoop() {
 	defer close(h.readDone)
 	buf := make([]byte, 64*1024)
 	for {
-		n, _, err := h.conn.ReadFromUDP(buf)
+		n, _, err := h.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
-			return // closed (or fatal socket error): stop reading
+			return // stopped, closed, or a fatal socket error
 		}
-		frame := make([]byte, n)
-		copy(frame, buf[:n])
-		h.loop.Post(func() { h.receive(frame) })
+		h.enqueue(buf[:n])
+	}
+}
+
+// enqueue hands one inbound frame to the loop: the bytes are copied into
+// a recycled buffer and the buffer's pre-bound handler is posted, so a
+// frame costs neither an allocation nor a closure. With maxInflight
+// buffers out the newest frame is dropped and counted — an overloaded
+// daemon sheds load by count, it does not grow. Any goroutine may call it.
+func (h *Host) enqueue(data []byte) {
+	f := h.takeFrame(len(data))
+	if f == nil {
+		h.met.RxDropped.Inc()
+		if h.dropNoted.CompareAndSwap(false, true) {
+			h.dropSrc, _ = packet.PeekIPv4Src(data)
+			h.loop.Post(h.logRxDrop) // the drop log is loop-confined
+		}
+		return
+	}
+	f.data = append(f.data[:0], data...)
+	h.met.RxInflight.Add(1)
+	h.loop.Post(f.run)
+}
+
+func (h *Host) logRxDrop() {
+	h.logDropOnce(fmt.Sprintf("receive queue full (%d frames in flight)", maxInflight), "from", h.dropSrc)
+}
+
+// takeFrame returns a buffer for an n-byte frame, or nil at the cap.
+func (h *Host) takeFrame(n int) *rxFrame {
+	h.poolMu.Lock()
+	defer h.poolMu.Unlock()
+	if last := len(h.free) - 1; last >= 0 && n <= frameSize {
+		f := h.free[last]
+		h.free = h.free[:last]
+		return f
+	}
+	if h.made == maxInflight {
+		return nil
+	}
+	h.made++
+	f := &rxFrame{h: h, data: make([]byte, 0, max(n, frameSize))}
+	f.run = f.handle
+	return f
+}
+
+// handle runs on the loop goroutine: the frame goes through its host's
+// receive, then the buffer is recycled. Nothing downstream may keep the
+// bytes (the FrameSniffer/UDPHandler contract). Handled buffers go back
+// in batches, so recycling adds a lock per batch, not per frame.
+func (f *rxFrame) handle() {
+	h := f.h
+	h.receive(f.data)
+	h.done = append(h.done, f)
+	if h.met.RxInflight.Add(-1) == 0 || len(h.done) == recycleBatch {
+		h.poolMu.Lock()
+		for _, d := range h.done {
+			if cap(d.data) == frameSize {
+				h.free = append(h.free, d)
+			} else {
+				h.made--
+			}
+		}
+		h.poolMu.Unlock()
+		clear(h.done)
+		h.done = h.done[:0]
 	}
 }
 
@@ -344,10 +463,12 @@ func (h *Host) RouteUp(dst netaddr.Addr) bool {
 
 // Output implements runtime.Host. Locally addressed frames loop back
 // through the posted receive path (so sniffers inspect them exactly once,
-// like the sim's evDeliver loopback); outbound frames pass the sniffer
-// chain as egress inspection — that is where a co-located PCED sees its
-// DNS front end's authoritative replies leaving the daemon — and are then
-// routed to a peer.
+// like the sim's evDeliver loopback), copied as a socket read is, because
+// data may alias the received frame being handled. Outbound frames pass
+// the sniffer chain as egress inspection — that is where a co-located
+// PCED sees its DNS front end's authoritative replies leaving the daemon
+// — and are then written to a peer before Output returns. Either way the
+// host keeps no reference to data, so the caller may reuse it.
 func (h *Host) Output(data []byte) error {
 	dst, ok := packet.PeekIPv4Dst(data)
 	if !ok {
@@ -362,7 +483,7 @@ func (h *Host) Output(data []byte) error {
 		return nil
 	}
 	if h.HasAddr(dst) {
-		h.loop.Post(func() { h.receive(data) })
+		h.enqueue(data)
 		return nil
 	}
 	for _, s := range h.sniffers {

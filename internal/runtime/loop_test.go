@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/pcelisp/pcelisp/internal/obs"
 )
 
 // orderLog records the order callbacks ran in. Callbacks all run on the
@@ -101,6 +103,69 @@ func TestLoopPostedRunBeforeLaterTimersInFIFOOrder(t *testing.T) {
 	want := []string{"p1", "p2", "p3", "t"}
 	if got := log.snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("run order = %v, want %v", got, want)
+	}
+}
+
+// TestLoopPostZeroAlloc: posting a func value that already exists — a
+// bound method kept in a pooled object, as the overlay host's frames do —
+// allocates nothing, even on an observed loop.
+func TestLoopPostZeroAlloc(t *testing.T) {
+	l := NewLoop(1)
+	defer l.Stop()
+	l.RegisterMetrics(obs.NewRegistry())
+	l.Start()
+	done := make(chan struct{}, 1)
+	nop, signal := func() {}, func() { done <- struct{}{} }
+	bound := (&pinned{new([1500]byte)}).touch
+	burst := func() {
+		for i := 0; i < 16; i++ {
+			l.Post(nop)
+			l.Post(bound)
+		}
+		l.Post(signal)
+		<-done
+	}
+	burst() // size the queues
+	if got := testing.AllocsPerRun(200, burst); got != 0 {
+		t.Fatalf("a burst of posts allocates %v, want 0", got)
+	}
+}
+
+// TestLoopMetrics: an observed loop reports each batch's lag and handler
+// time and the depth it picked up.
+func TestLoopMetrics(t *testing.T) {
+	reg := obs.NewRegistry()
+	l := NewLoop(1)
+	defer l.Stop()
+	l.RegisterMetrics(reg, obs.Label{Key: "node", Value: "n"})
+	const stall = 20 * time.Millisecond
+	done := make(chan struct{})
+	// Three entries queued before Start make one batch; the first stalls.
+	l.Post(func() { time.Sleep(stall) })
+	l.Post(func() {})
+	l.Post(func() { close(done) })
+	time.Sleep(stall) // the batch has waited at least this long when picked up
+	l.Start()
+	waitFor(t, done, "the batch")
+	next := make(chan struct{})
+	l.Post(func() { close(next) }) // a later turn: the first batch's samples are in
+	waitFor(t, next, "the follow-up turn")
+	if n := l.met.LagSeconds.Count(); n < 1 {
+		t.Fatalf("lag samples = %d, want one per non-empty batch", n)
+	}
+	if sum := l.met.LagSeconds.Sum(); sum < stall.Seconds() {
+		t.Fatalf("lag sum = %vs, want at least the %v the first batch waited", sum, stall)
+	}
+	if sum := l.met.BatchSeconds.Sum(); sum < stall.Seconds() {
+		t.Fatalf("batch time sum = %vs, want at least the %v stall", sum, stall)
+	}
+	for _, name := range []string{"pcelisp_loop_posted_depth", "pcelisp_loop_timers"} {
+		if _, ok := reg.Value(name, obs.Label{Key: "node", Value: "n"}); !ok {
+			t.Fatalf("%s not registered", name)
+		}
+	}
+	if l2 := NewLoop(1); l2.met != nil {
+		t.Fatal("an unregistered loop carries metrics")
 	}
 }
 
@@ -205,6 +270,11 @@ func TestLoopTimerAfterStopIsNoop(t *testing.T) {
 		t.Fatalf("timers armed after Stop: %d queued, fired %v; want none queued and only %q fired", queued, got, "before")
 	}
 }
+
+// pinned stands in for a pooled frame: touch is the method it posts.
+type pinned struct{ p *[1500]byte }
+
+func (e *pinned) touch() { e.p[0]++ }
 
 // TestLoopReleasesRunWork is the retention regression: the loop recycles
 // its drained thunk slice and its due-timer slice, and used to leave the

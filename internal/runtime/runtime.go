@@ -97,18 +97,25 @@ const (
 )
 
 // FrameSniffer inspects a raw IPv4 frame traversing the host and either
-// passes or consumes it. Sniffers run in registration order; the frame
-// bytes must not be retained past the call.
+// passes or consumes it. Sniffers run in registration order. The host
+// owns data: the overlay host hands out a recycled buffer and rewrites it
+// as soon as the frame has been handled, so a sniffer (consuming or not)
+// that needs bytes afterwards — to queue the frame, or to verify a
+// decoded message later — copies them before it returns. It may pass
+// data, or a sub-slice, to Host.Output during the call.
 type FrameSniffer func(data []byte) Verdict
 
 // UDPHandler receives a decoded UDP datagram addressed to a bound
-// (addr, port). src/dst are the outer IPv4 addresses; udp (including its
-// payload view) is only valid for the duration of the call.
+// (addr, port). src/dst are the outer IPv4 addresses; udp, its payload
+// view and anything decoded from it without copying (a message's
+// Contents, its auth data) belong to the host like a sniffer's data and
+// are only valid for the duration of the call.
 type UDPHandler func(src, dst netaddr.Addr, udp *packet.UDP)
 
 // RawUDPHandler receives the raw payload of a UDP datagram without layer
 // decoding — the data-plane fast path (LISP encap on port 4341). outer is
-// the full outer frame; payload aliases into it.
+// the full outer frame; payload aliases into it. Both belong to the host
+// like a sniffer's data.
 type RawUDPHandler func(outer []byte, payload []byte)
 
 // Host is the datagram-endpoint half of the contract: one addressable
@@ -134,7 +141,11 @@ type Host interface {
 	RouteUp(dst netaddr.Addr) bool
 
 	// Output transmits a full IPv4 frame, routing by its destination
-	// header. Ownership of data passes to the host.
+	// header. The caller gives data up: the simulator queues the slice
+	// itself on a link, so the caller must not write to it again. The
+	// overlay host keeps nothing — it has written or copied the bytes when
+	// Output returns — which is what lets a handler pass it a slice of the
+	// frame it was handed.
 	Output(data []byte) error
 	// OutputVia transmits a full IPv4 frame out a specific egress handle
 	// previously obtained from EgressByAddr.
