@@ -63,3 +63,15 @@ func TestE11EveryCPSurvivesEveryScenario(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkE11Quick is one quick E11 regeneration (seed 1) per op: three
+// quarters of a sim_suite pass, and the loop the per-packet allocation
+// work is measured on step by step (-benchmem; the tables must not move).
+func BenchmarkE11Quick(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if len(E11InboundTE(1, true).Rows()) == 0 {
+			b.Fatal("E11 produced no rows")
+		}
+	}
+}

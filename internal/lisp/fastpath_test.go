@@ -136,6 +136,43 @@ func TestEncapFastPathAllocs(t *testing.T) {
 	}
 }
 
+// TestEncapFastPathInPlaceZeroAlloc pins what tail-room buys: a pinned
+// flow's frame that arrives with packet.EncapTemplateLen bytes of spare
+// capacity — as every frame a host originates does — is encapsulated
+// where it lies, so the per-packet path allocates nothing and
+// EncapCopies stays 0. The same frame at exact capacity takes the
+// copying fallback and is counted. Setup as TestEncapFastPathAllocs.
+func TestEncapFastPathInPlaceZeroAlloc(t *testing.T) {
+	w := newLISPWorld(t, XTRConfig{MissPolicy: MissDrop})
+	w.xtrS.InstallMapping(dMapping())
+	w.hD.ListenUDP(9000, func(*simnet.Delivery, *packet.UDP) {})
+	w.sendData("warm")
+	w.sim.Run()
+	if len(w.xtrS.pins) != 1 {
+		t.Fatalf("pins = %d, want 1", len(w.xtrS.pins))
+	}
+	w.xtrS.host.(*simnet.Node).IfaceByAddr(netaddr.MustParseAddr("10.0.0.1")).SetUp(false)
+	exact := simnet.EncodeUDP(w.eidS, w.eidD, 40000, 9000, packet.Payload("payload-bytes"))
+	roomy := make([]byte, len(exact), len(exact)+packet.EncapTemplateLen)
+	before := w.xtrS.Stats()
+	per := testing.AllocsPerRun(200, func() {
+		copy(roomy, exact) // the encap rewrote it: restore the inner frame
+		w.xtrS.handleOutbound(w.eidS, w.eidD, roomy)
+	})
+	if per != 0 {
+		t.Fatalf("in-place fast-path encap allocates %.1f per packet, want 0", per)
+	}
+	after := w.xtrS.Stats()
+	if after.EncapPackets-before.EncapPackets != 201 || after.EncapCopies != before.EncapCopies {
+		t.Fatalf("in-place run: EncapPackets +%d (want 201), EncapCopies +%d (want 0)",
+			after.EncapPackets-before.EncapPackets, after.EncapCopies-before.EncapCopies)
+	}
+	w.xtrS.handleOutbound(w.eidS, w.eidD, exact)
+	if got := w.xtrS.Stats().EncapCopies - after.EncapCopies; got != 1 {
+		t.Fatalf("exact-capacity frame: EncapCopies +%d, want 1", got)
+	}
+}
+
 // TestEncapFastPathAllocsInstrumented re-pins the same budget with the
 // observability layer fully armed: a registry collecting the xTR and
 // map-cache counters and a flight recorder attached. Counter increments

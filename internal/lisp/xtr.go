@@ -61,6 +61,7 @@ func (f ResolverFunc) Resolve(eid netaddr.Addr, done func(entry *MapEntry, ok bo
 // uint64 as the XTRStats snapshot.
 type xtrCounters[T any] struct {
 	EncapPackets T `metric:"encap_packets_total" help:"Packets encapsulated toward remote RLOCs."`
+	EncapCopies  T `metric:"encap_copies_total" help:"Established-flow encapsulations that allocated a new frame because the inner frame came without tail-room."`
 	DecapPackets T `metric:"decap_packets_total" help:"Packets decapsulated for local delivery."`
 	// CacheMissDrops is the paper's headline problem.
 	CacheMissDrops        T `metric:"cache_miss_drops_total" help:"Data packets dropped by the drop miss policy during resolution."`
@@ -483,12 +484,17 @@ func (x *XTR) pinFlow(fk FlowKey, e *MapEntry, dstRLOC netaddr.Addr) {
 	}
 }
 
-// encapFast is the template encap: copy the pinned outer header, patch
-// lengths, checksums and a fresh nonce, and steer out the pinned egress.
-// It consumes exactly one Rand draw per packet, like the slow path, so
-// runs with and without established pins stay byte-identical.
+// encapFast is the template encap: write the pinned outer header in front
+// of inner — in inner's own tail-room when the host left it any, counted
+// in EncapCopies when not — patch lengths, checksums and a fresh nonce,
+// and steer out the pinned egress. It consumes exactly one Rand draw per
+// packet, like the slow path, so runs with and without established pins
+// stay byte-identical.
 func (x *XTR) encapFast(t *packet.EncapTemplate, out runtime.Egress, inner []byte) {
 	x.met.EncapPackets.Inc()
+	if cap(inner) < packet.EncapTemplateLen+len(inner) { // Encap's own test, negated
+		x.met.EncapCopies.Inc()
+	}
 	nonce := uint32(x.rt.Rand().Uint32()) & 0xffffff
 	data := t.Encap(inner, nonce)
 	if out != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/pcelisp/pcelisp/internal/lisp"
 	"github.com/pcelisp/pcelisp/internal/netaddr"
 	"github.com/pcelisp/pcelisp/internal/obs"
 	"github.com/pcelisp/pcelisp/internal/packet"
@@ -286,5 +287,81 @@ func TestOverlayRxZeroAlloc(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(2000, roundTrip); got != 0 {
 		t.Fatalf("socket -> raw-bind handler allocates %v per frame, want 0", got)
+	}
+}
+
+// TestOverlayForwardZeroAlloc is the exact gate behind fwd_small's
+// allocs_per_op on the ITR side: a datagram from the socket, intercepted
+// by a real xTR with the flow pinned, encapsulated and written to the
+// peer socket allocates nothing. The pooled rx buffer is the frame's
+// tail-room, so the outer header is written into it
+// (pcelisp_xtr_encap_copies_total stays 0) and the bytes on the wire are
+// the template's.
+func TestOverlayForwardZeroAlloc(t *testing.T) {
+	var (
+		eidSpace  = netaddr.MustParsePrefix("100.0.0.0/8")
+		localEIDs = netaddr.MustParsePrefix("100.1.0.0/16")
+		es, ed    = netaddr.MustParseAddr("100.1.0.5"), netaddr.MustParseAddr("100.2.0.9")
+		rlocA     = netaddr.MustParseAddr("10.0.0.1")
+		rlocB     = netaddr.MustParseAddr("10.1.0.1")
+	)
+	loop := runtime.NewLoop(1)
+	h, err := New("h1", loop, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	h.RegisterMetrics(reg)
+	loop.RegisterMetrics(reg)
+	h.AddAddr(rlocA)
+	sink, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	h.SetPeer(netaddr.PrefixFrom(rlocB, 32), sink.LocalAddr().(*net.UDPAddr))
+	x := lisp.NewXTR(loop, h, lisp.XTRConfig{RLOC: rlocA, LocalEIDs: localEIDs, EIDSpace: eidSpace, Obs: reg})
+	x.InstallFlow(es, ed, rlocA, rlocB, 300)
+	loop.Start()
+	h.Start()
+	defer loop.Stop()
+	defer h.Close()
+	conn, err := net.DialUDP("udp4", nil, h.RealAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	inner := runtime.EncodeUDP(es, ed, 4000, 4001, packet.Payload(bytes.Repeat([]byte{0x5a}, 64)))
+	got := make([]byte, frameSize)
+	n := 0
+	roundTrip := func() {
+		if _, err := conn.Write(inner); err != nil {
+			t.Error(err)
+			return
+		}
+		if n, err = sink.Read(got); err != nil {
+			t.Error(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		roundTrip() // make the buffer, size the posted queue, build the template
+	}
+	if per := testing.AllocsPerRun(2000, roundTrip); per != 0 {
+		t.Fatalf("socket -> intercept -> encap -> socket allocates %v per frame, want 0", per)
+	}
+	outer := got[:n]
+	nonce := uint32(outer[29])<<16 | uint32(outer[30])<<8 | uint32(outer[31])
+	want := packet.NewEncapTemplate(rlocA, rlocB, packet.PortLISPData, packet.PortLISPData).Encap(inner, nonce)
+	if !bytes.Equal(outer, want) {
+		t.Fatalf("forwarded frame is not the template encapsulation of the inner:\n got % x\nwant % x", outer, want)
+	}
+	st := x.Stats()
+	if st.EncapPackets != 2101 || st.EncapCopies != 0 || h.Stats().TxFrames != 2101 {
+		t.Fatalf("EncapPackets=%d (want 2101) EncapCopies=%d (want 0) TxFrames=%d (want 2101)",
+			st.EncapPackets, st.EncapCopies, h.Stats().TxFrames)
+	}
+	if v, ok := reg.Value("pcelisp_xtr_encap_copies_total", obs.Label{Key: "node", Value: "h1"}); !ok || v != 0 {
+		t.Fatalf("pcelisp_xtr_encap_copies_total = %v (registered %v), want 0", v, ok)
 	}
 }

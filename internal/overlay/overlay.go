@@ -468,7 +468,8 @@ func (h *Host) RouteUp(dst netaddr.Addr) bool {
 // the sniffer chain as egress inspection — that is where a co-located
 // PCED sees its DNS front end's authoritative replies leaving the daemon
 // — and are then written to a peer before Output returns. Either way the
-// host keeps no reference to data, so the caller may reuse it.
+// host keeps no reference to data, so the caller may reuse the buffer —
+// not its contents, which a sniffer may have rewritten in place.
 func (h *Host) Output(data []byte) error {
 	dst, ok := packet.PeekIPv4Dst(data)
 	if !ok {
@@ -502,7 +503,7 @@ func (h *Host) OutputVia(_ runtime.Egress, data []byte) { h.Output(data) }
 
 // OutputUDP implements runtime.Host.
 func (h *Host) OutputUDP(src, dst netaddr.Addr, sport, dport uint16, app ...packet.SerializableLayer) int {
-	data := runtime.EncodeUDP(src, dst, sport, dport, app...)
+	data := runtime.EncodeUDPRoom(packet.EncapTemplateLen, src, dst, sport, dport, app...)
 	h.Output(data)
 	return len(data)
 }

@@ -57,27 +57,36 @@ func NewEncapTemplate(src, dst netaddr.Addr, sport, dport uint16) *EncapTemplate
 }
 
 // Encap wraps inner in the templated outer header with the given 24-bit
-// nonce, returning a freshly allocated packet (the only allocation on
-// this path).
+// nonce. A frame's spare capacity belongs to the frame, as with append:
+// when inner has EncapTemplateLen bytes of it, the inner bytes slide up
+// and the header is written in front of them, in inner's own backing
+// array, and nothing is allocated — inner's contents are undefined
+// afterwards. Otherwise inner is left untouched and the packet is freshly
+// allocated. The bytes produced are the same either way.
 func (t *EncapTemplate) Encap(inner []byte, nonce uint32) []byte {
 	nonce &= 0xffffff
 	total := EncapTemplateLen + len(inner)
-	out := make([]byte, total)
+	var out []byte
+	if cap(inner) >= total {
+		out = inner[:total]
+	} else {
+		out = make([]byte, total)
+	}
+	copy(out[EncapTemplateLen:], inner) // a memmove: the in-place ranges overlap
 	copy(out, t.hdr[:])
-	copy(out[EncapTemplateLen:], inner)
 	// IPv4 total length and header checksum.
 	out[2], out[3] = byte(total>>8), byte(total)
 	ipck := finishChecksum(t.ipSum + uint32(total))
 	out[10], out[11] = byte(ipck>>8), byte(ipck)
 	// UDP length (header + LISP + inner) and LISP nonce.
-	udpLen := UDPHeaderLen + LISPHeaderLen + len(inner)
+	udpLen := total - IPv4HeaderLen
 	out[24], out[25] = byte(udpLen>>8), byte(udpLen)
 	out[29], out[30], out[31] = byte(nonce>>16), byte(nonce>>8), byte(nonce)
 	// UDP checksum: the length appears twice (pseudo-header and header
 	// field); the LISP header is even-aligned, so the inner bytes sum
 	// composes additively.
 	sum := t.udpSum + 2*uint32(udpLen) + (nonce >> 16) + (nonce & 0xffff)
-	ck := finishChecksum(sumBytes(sum, inner))
+	ck := finishChecksum(sumBytes(sum, out[EncapTemplateLen:]))
 	if ck == 0 {
 		ck = 0xffff // 0 is reserved for "no checksum"
 	}

@@ -189,34 +189,63 @@ func PeekIPv4Src(data []byte) (netaddr.Addr, bool) {
 	return netaddr.AddrFromBytes(data[12:16]), true
 }
 
-// PeekUDPPayload extracts the UDP ports and payload from raw IPv4/UDP
-// packet bytes without building layer structs, applying exactly the
-// validation the IPv4 and UDP decoders would. ok is false when the bytes
-// are not a well-formed IPv4/UDP datagram; callers must then fall back to
-// the decoding path so malformed traffic is accounted identically.
-func PeekUDPPayload(data []byte) (src, dst uint16, payload []byte, ok bool) {
+// peekUDPDatagram returns the UDP datagram (header and payload, cut to its
+// own length field) inside raw IPv4/UDP packet bytes, applying exactly
+// the validation the IPv4 and UDP decoders would, or nil when the bytes
+// are not a well-formed IPv4/UDP datagram.
+func peekUDPDatagram(data []byte) []byte {
 	if len(data) < IPv4HeaderLen || data[0]>>4 != 4 {
-		return 0, 0, nil, false
+		return nil
 	}
 	hl := int(data[0]&0x0f) * 4
 	totalLen := int(data[2])<<8 | int(data[3])
 	if hl < IPv4HeaderLen || totalLen < hl || totalLen > len(data) {
-		return 0, 0, nil, false
+		return nil
 	}
 	if IPProtocol(data[9]) != IPProtocolUDP {
-		return 0, 0, nil, false
+		return nil
 	}
 	dgram := data[hl:totalLen]
 	if len(dgram) < UDPHeaderLen {
-		return 0, 0, nil, false
+		return nil
 	}
 	udpLen := int(dgram[4])<<8 | int(dgram[5])
 	if udpLen < UDPHeaderLen || udpLen > len(dgram) {
+		return nil
+	}
+	return dgram[:udpLen]
+}
+
+// PeekUDPPayload extracts the UDP ports and payload from raw IPv4/UDP
+// packet bytes without building layer structs. ok is false when the bytes
+// are not a well-formed IPv4/UDP datagram; callers must then fall back to
+// the decoding path so malformed traffic is accounted identically.
+func PeekUDPPayload(data []byte) (src, dst uint16, payload []byte, ok bool) {
+	dgram := peekUDPDatagram(data)
+	if dgram == nil {
 		return 0, 0, nil, false
 	}
 	return uint16(dgram[0])<<8 | uint16(dgram[1]),
 		uint16(dgram[2])<<8 | uint16(dgram[3]),
-		dgram[UDPHeaderLen:udpLen], true
+		dgram[UDPHeaderLen:], true
+}
+
+// PeekUDP is PeekUDPPayload filling the whole header view decodeUDP
+// builds — ports, length, checksum, Contents, Payload — into a UDP the
+// caller owns, so nothing is allocated. On false u is left alone.
+func PeekUDP(data []byte, u *UDP) bool {
+	dgram := peekUDPDatagram(data)
+	if dgram == nil {
+		return false
+	}
+	*u = UDP{
+		BaseLayer: BaseLayer{Contents: dgram[:UDPHeaderLen], Payload: dgram[UDPHeaderLen:]},
+		SrcPort:   uint16(dgram[0])<<8 | uint16(dgram[1]),
+		DstPort:   uint16(dgram[2])<<8 | uint16(dgram[3]),
+		Length:    uint16(len(dgram)),
+		Checksum:  uint16(dgram[6])<<8 | uint16(dgram[7]),
+	}
+	return true
 }
 
 // PeekTCPSegment extracts the TCP flag byte and payload length from raw

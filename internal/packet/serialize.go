@@ -154,12 +154,18 @@ func PutSerializeBuffer(b SerializeBuffer) {
 // only result from a programming mistake in layer construction — callers
 // building packets from their own structs, not attacker input. The scratch
 // buffer comes from the package pool; only the returned copy allocates.
-func Serialize(layers ...SerializableLayer) []byte {
+// The copy is exact: cap == len.
+func Serialize(layers ...SerializableLayer) []byte { return SerializeRoom(0, layers...) }
+
+// SerializeRoom is Serialize with room bytes of spare capacity behind the
+// frame. Hosts build the frames they originate with EncapTemplateLen of
+// it, so an ITR on the path encapsulates them where they lie.
+func SerializeRoom(room int, layers ...SerializableLayer) []byte {
 	buf := GetSerializeBuffer()
 	if err := SerializeLayers(buf, FixAll, layers...); err != nil {
 		panic(err)
 	}
-	out := make([]byte, len(buf.Bytes()))
+	out := make([]byte, len(buf.Bytes()), len(buf.Bytes())+room)
 	copy(out, buf.Bytes())
 	PutSerializeBuffer(buf)
 	return out

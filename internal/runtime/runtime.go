@@ -19,6 +19,7 @@ package runtime
 
 import (
 	"math/rand"
+	"sync"
 	"time"
 
 	"github.com/pcelisp/pcelisp/internal/netaddr"
@@ -102,7 +103,10 @@ const (
 // as soon as the frame has been handled, so a sniffer (consuming or not)
 // that needs bytes afterwards — to queue the frame, or to verify a
 // decoded message later — copies them before it returns. It may pass
-// data, or a sub-slice, to Host.Output during the call.
+// data, or a sub-slice, to Host.Output during the call. A consuming
+// sniffer takes the frame, spare capacity included, and may rewrite it
+// in place (the ITR encapsulates in the tail-room); a passing one leaves
+// it as it found it.
 type FrameSniffer func(data []byte) Verdict
 
 // UDPHandler receives a decoded UDP datagram addressed to a bound
@@ -141,11 +145,13 @@ type Host interface {
 	RouteUp(dst netaddr.Addr) bool
 
 	// Output transmits a full IPv4 frame, routing by its destination
-	// header. The caller gives data up: the simulator queues the slice
-	// itself on a link, so the caller must not write to it again. The
-	// overlay host keeps nothing — it has written or copied the bytes when
-	// Output returns — which is what lets a handler pass it a slice of the
-	// frame it was handed.
+	// header. The caller gives up data and its spare capacity, and the
+	// contents are undefined afterwards: the simulator queues the slice
+	// itself on a link, and on either host a sniffer down the path may
+	// rewrite the frame into its tail-room. The overlay host keeps no
+	// reference — it has written or copied the bytes when Output returns
+	// — which is what lets a handler pass it a slice of the frame it was
+	// handed.
 	Output(data []byte) error
 	// OutputVia transmits a full IPv4 frame out a specific egress handle
 	// previously obtained from EgressByAddr.
@@ -171,17 +177,37 @@ type Host interface {
 // EncodeUDP serializes an IPv4/UDP frame with computed lengths and
 // checksums around the given application layers. Both the simulator and
 // the overlay host emit frames in exactly this shape, which is what makes
-// sim and real wire bytes directly comparable.
+// sim and real wire bytes directly comparable. The frame is exact
+// (cap == len); hosts sending one of their own use EncodeUDPRoom.
 func EncodeUDP(src, dst netaddr.Addr, sport, dport uint16, app ...packet.SerializableLayer) []byte {
-	ip := &packet.IPv4{TTL: packet.DefaultTTL, Protocol: packet.IPProtocolUDP, SrcIP: src, DstIP: dst}
-	udp := &packet.UDP{SrcPort: sport, DstPort: dport}
-	udp.SetNetworkLayerForChecksum(ip)
-	layers := make([]packet.SerializableLayer, 0, 2+len(app))
-	layers = append(layers, ip, udp)
+	return EncodeUDPRoom(0, src, dst, sport, dport, app...)
+}
+
+// udpScratch is the header pair and layer list of one EncodeUDPRoom call.
+// Pooled, not per-runtime: shards and runner cells encode concurrently.
+type udpScratch struct {
+	ip     packet.IPv4
+	udp    packet.UDP
+	layers []packet.SerializableLayer
+}
+
+var udpScratchPool = sync.Pool{New: func() any { return new(udpScratch) }}
+
+// EncodeUDPRoom is EncodeUDP with room bytes of spare capacity behind the
+// frame (see packet.SerializeRoom); the frame is its only allocation.
+func EncodeUDPRoom(room int, src, dst netaddr.Addr, sport, dport uint16, app ...packet.SerializableLayer) []byte {
+	s := udpScratchPool.Get().(*udpScratch)
+	s.ip = packet.IPv4{TTL: packet.DefaultTTL, Protocol: packet.IPProtocolUDP, SrcIP: src, DstIP: dst}
+	s.udp = packet.UDP{SrcPort: sport, DstPort: dport}
+	s.udp.SetNetworkLayerForChecksum(&s.ip)
+	s.layers = append(s.layers[:0], &s.ip, &s.udp)
 	for _, l := range app {
 		if l != nil { // tolerate "no payload" call sites
-			layers = append(layers, l)
+			s.layers = append(s.layers, l)
 		}
 	}
-	return packet.Serialize(layers...)
+	data := packet.SerializeRoom(room, s.layers...)
+	clear(s.layers) // the pool must not pin the caller's layers
+	udpScratchPool.Put(s)
+	return data
 }

@@ -202,3 +202,94 @@ func TestRouteCacheAdminStateAudit(t *testing.T) {
 		t.Fatalf("delivered %d after node recovery, want 4", delivered)
 	}
 }
+
+// TestArrivalBatchBoundedUnderBacklog pins the arrival batch's memory on a
+// link that never idles: drainArrivals resets arrQ only when it runs
+// empty, so a persistently backlogged link used to keep one slot for
+// every frame it had ever carried. scheduleArrival now reclaims the
+// drained prefix once the slice is full and at least half drained, which
+// bounds cap(arrQ) by 4x the peak in flight (the queue settles at a
+// capacity in [2L, 4L) for L frames in flight) and moves nothing
+// observable: FIFO order and arrival times are the link model's, and an
+// out-of-order arrival (Delay lowered mid-flight) still sorts in.
+func TestArrivalBatchBoundedUnderBacklog(t *testing.T) {
+	const (
+		frames  = 50_000
+		frameSz = 100
+		txTime  = 10 * time.Microsecond // 100 B at 80 Mbit/s
+		delay   = 200 * time.Microsecond
+		early   = 50 * time.Microsecond // the lowered Delay
+	)
+	s := New(1)
+	a, b, l := twoNodes(s, LinkConfig{Delay: delay, RateBps: 80_000_000})
+	rx := l.B()
+	payload := make(packet.Payload, frameSz-packet.IPv4HeaderLen-packet.UDPHeaderLen)
+
+	type arrival struct {
+		seq uint32
+		at  Time
+	}
+	var got []arrival
+	b.ListenUDP(7, func(_ *Delivery, udp *packet.UDP) {
+		p := udp.LayerPayload()
+		got = append(got, arrival{uint32(p[0])<<24 | uint32(p[1])<<16 | uint32(p[2])<<8 | uint32(p[3]), s.Now()})
+	})
+
+	peak, maxCap := 0, 0
+	var send func()
+	seq := uint32(0)
+	send = func() {
+		if live := len(rx.arrQ) - rx.arrHead; live > peak {
+			peak = live
+		}
+		if seq == frames {
+			// Still backlogged: a frame on a suddenly shorter wire must be
+			// sorted in ahead of the queued tail.
+			cfg := l.A().Config()
+			cfg.Delay = early
+			l.A().SetConfig(cfg)
+		}
+		payload[0], payload[1], payload[2], payload[3] = byte(seq>>24), byte(seq>>16), byte(seq>>8), byte(seq)
+		a.SendUDP(a.PrimaryAddr(), b.PrimaryAddr(), 1, 7, &payload)
+		if c := cap(rx.arrQ); c > maxCap {
+			maxCap = c
+		}
+		if seq++; seq <= frames {
+			s.ScheduleFunc(txTime, send)
+		}
+	}
+	send()
+	s.Run()
+
+	if peak < 8 {
+		t.Fatalf("peak in flight = %d: the link was not backlogged", peak)
+	}
+	if maxCap > 4*peak+8 {
+		t.Fatalf("cap(arrQ) reached %d with at most %d frames in flight over %d sent: the drained prefix is not reclaimed", maxCap, peak, frames)
+	}
+	if len(got) != frames+1 {
+		t.Fatalf("delivered %d of %d frames", len(got), frames+1)
+	}
+	// The link model: frame i starts serializing at i*txTime, so it lands
+	// at (i+1)*txTime + delay; the last one rode the shorter wire.
+	lateAt := Time(frames+1)*txTime + early
+	next := uint32(0)
+	for i, g := range got {
+		if g.seq == frames {
+			if g.at != lateAt {
+				t.Fatalf("early frame landed at %v, want %v", g.at, lateAt)
+			}
+			if i == len(got)-1 {
+				t.Fatal("early frame was delivered last: the sorted insert did not happen")
+			}
+			continue
+		}
+		if want := Time(g.seq+1)*txTime + delay; g.seq != next || g.at != want {
+			t.Fatalf("delivery %d: frame %d at %v, want frame %d at %v", i, g.seq, g.at, next, want)
+		}
+		if i > 0 && g.at < got[i-1].at {
+			t.Fatalf("delivery %d at %v precedes delivery %d at %v", i, g.at, i-1, got[i-1].at)
+		}
+		next++
+	}
+}

@@ -5,6 +5,7 @@ import (
 
 	"github.com/pcelisp/pcelisp/internal/netaddr"
 	"github.com/pcelisp/pcelisp/internal/packet"
+	"github.com/pcelisp/pcelisp/internal/runtime"
 )
 
 // Route is a forwarding table entry: packets matching the prefix leave
@@ -260,9 +261,11 @@ func (n *Node) inGroup(g netaddr.Addr) bool {
 // Delivery is a packet being processed at a node, handed to sniffers and
 // handlers. The embedded lazy Packet decodes layers on demand. Delivery
 // structs are drawn from a per-Sim free list and recycled when the node
-// finishes processing, so handlers must not retain a Delivery (or its
-// Packet view) past their callback; the Data bytes themselves may be
-// kept.
+// finishes processing, so handlers must not retain a Delivery, its Packet
+// view or the *packet.UDP a ListenUDP handler is handed (it lives in the
+// Delivery) past their callback. The Data bytes themselves may be kept by
+// the handler they were delivered to; a sniffer that passes the frame on
+// copies what it needs, because a later sniffer may rewrite it in place.
 type Delivery struct {
 	// Node is the node processing the packet.
 	Node *Node
@@ -272,6 +275,7 @@ type Delivery struct {
 	Data []byte
 
 	pkt *packet.Packet
+	udp packet.UDP // the header view a ListenUDP handler is handed
 }
 
 // Packet returns the lazily decoded packet view of Data. The view is
@@ -405,27 +409,22 @@ func (n *Node) receive(data []byte, in *Iface) {
 func (n *Node) deliverLocal(d *Delivery) {
 	n.Stats.DeliveredLocal++
 	n.sim.trace(TraceDeliver, n.name, "", d.Data)
-	if len(n.rawUDP) != 0 {
-		if _, dport, payload, ok := packet.PeekUDPPayload(d.Data); ok {
-			if h, ok := n.rawUDP[dport]; ok {
-				h(d, payload)
-				return
-			}
+	// The peek validates what the decoders would, so a datagram it refuses
+	// can reach no UDP handler: the decoder below only has to tell
+	// malformed from unhandled.
+	if packet.PeekUDP(d.Data, &d.udp) {
+		if h, ok := n.rawUDP[d.udp.DstPort]; ok {
+			h(d, d.udp.Payload)
+			return
+		}
+		if h, ok := n.udp[d.udp.DstPort]; ok {
+			h(d, &d.udp)
+			return
 		}
 	}
-	ip := d.IPv4()
-	if ip == nil {
+	if d.IPv4() == nil {
 		n.Stats.Malformed++
 		return
-	}
-	if ip.Protocol == packet.IPProtocolUDP {
-		if l := d.Packet().Layer(packet.LayerTypeUDP); l != nil {
-			udp := l.(*packet.UDP)
-			if h, ok := n.udp[udp.DstPort]; ok {
-				h(d, udp)
-				return
-			}
-		}
 	}
 	if n.local != nil && n.local(d) {
 		return
@@ -458,7 +457,8 @@ func (n *Node) forward(dst netaddr.Addr, data []byte) {
 
 // SendUDP builds and sends an IPv4/UDP packet carrying the given
 // application layers. This is the workhorse used by every control-plane
-// implementation in the repository.
+// implementation in the repository. The frame is born with the tail-room
+// an ITR on its path encapsulates it in.
 func (n *Node) SendUDP(src, dst netaddr.Addr, sport, dport uint16, app ...packet.SerializableLayer) error {
-	return n.Send(EncodeUDP(src, dst, sport, dport, app...))
+	return n.Send(runtime.EncodeUDPRoom(packet.EncapTemplateLen, src, dst, sport, dport, app...))
 }

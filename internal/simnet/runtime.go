@@ -61,7 +61,7 @@ func (n *Node) OutputVia(e runtime.Egress, data []byte) { n.SendVia(e.(*Iface), 
 
 // OutputUDP builds, sends and measures an IPv4/UDP datagram.
 func (n *Node) OutputUDP(src, dst netaddr.Addr, sport, dport uint16, app ...packet.SerializableLayer) int {
-	data := EncodeUDP(src, dst, sport, dport, app...)
+	data := runtime.EncodeUDPRoom(packet.EncapTemplateLen, src, dst, sport, dport, app...)
 	n.Send(data)
 	return len(data)
 }
@@ -73,8 +73,9 @@ func (n *Node) OutputUDP(src, dst netaddr.Addr, sport, dport uint16, app ...pack
 func (n *Node) BindUDP(addr netaddr.Addr, port uint16, h runtime.UDPHandler) {
 	_ = addr
 	n.ListenUDP(port, func(d *Delivery, udp *packet.UDP) {
-		ip := d.IPv4()
-		h(ip.SrcIP, ip.DstIP, udp)
+		src, _ := packet.PeekIPv4Src(d.Data)
+		dst, _ := packet.PeekIPv4Dst(d.Data)
+		h(src, dst, udp)
 	})
 }
 

@@ -162,6 +162,15 @@ func (s *Sim) scheduleArrival(t Time, to *Iface, data []byte) {
 		t = s.now
 	}
 	q := to.arrQ
+	if h := to.arrHead; len(q) == cap(q) && h > 0 && h >= cap(q)/2 {
+		// A link that never idles never takes drainArrivals' reset: move
+		// the live tail over the drained prefix instead of growing. Only
+		// when the slice is full and at least half drained, so the copy
+		// amortises to O(1) per frame.
+		n := copy(q, q[h:])
+		clear(q[n:])
+		q, to.arrHead = q[:n], 0
+	}
 	if n := len(q); n > to.arrHead && q[n-1].at > t {
 		// Rare out-of-order arrival: keep the batch sorted by time, FIFO
 		// within a time (insert after any equal-time frames).
@@ -343,6 +352,8 @@ func (k TraceEventKind) String() string {
 }
 
 // TraceEvent describes one packet milestone for the optional Trace hook.
+// Data is the live frame, valid during the callback only: nodes down the
+// path patch and encapsulate it in place.
 type TraceEvent struct {
 	At     Time
 	Kind   TraceEventKind

@@ -174,7 +174,7 @@ func (h *TCPHost) sendSegment(dst netaddr.Addr, sport, dport uint16, seg *packet
 		layers = h.layScratch[:3]
 		layers[2] = &h.payScratch
 	}
-	h.node.Send(packet.Serialize(layers...))
+	h.node.Send(packet.SerializeRoom(packet.EncapTemplateLen, layers...))
 }
 
 func (h *TCPHost) handle(d *simnet.Delivery) bool {
@@ -231,7 +231,7 @@ type Pump struct {
 	src     netaddr.Addr
 	dst     netaddr.Addr
 	dport   uint16
-	payload []byte
+	payload packet.Payload // passed by address: boxing the slice would allocate per datagram
 	period  simnet.Time
 	stopped bool
 
@@ -254,7 +254,7 @@ func NewPump(node *simnet.Node, src, dst netaddr.Addr, dport uint16, rateBps int
 	}
 	return &Pump{
 		node: node, src: src, dst: dst, dport: dport,
-		payload: make([]byte, pktBytes), period: period,
+		payload: make(packet.Payload, pktBytes), period: period,
 	}
 }
 
@@ -269,7 +269,7 @@ func (p *Pump) tick() {
 		return
 	}
 	p.Sent++
-	p.node.SendUDP(p.src, p.dst, 40000, p.dport, packet.Payload(p.payload))
+	p.node.SendUDP(p.src, p.dst, 40000, p.dport, &p.payload)
 	p.node.Sim().ScheduleTimer(p.period, p, simnet.TimerArg{})
 }
 

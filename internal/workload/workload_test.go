@@ -227,3 +227,33 @@ func TestGeneratorValidation(t *testing.T) {
 		}()
 	}
 }
+
+// TestPumpTickSingleAlloc pins the generator's cost: one tick is one
+// datagram, and one datagram is one allocation — the frame. The payload
+// rides as a pointer (no boxing), the headers come from EncodeUDP's pooled
+// scratch, the next tick is a typed timer.
+func TestPumpTickSingleAlloc(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector, so pooled buffers re-allocate")
+	}
+	s := simnet.New(1)
+	a, b := s.NewNode("a"), s.NewNode("b")
+	l := simnet.Connect(a, b, simnet.LinkConfig{Delay: time.Millisecond})
+	l.A().SetAddr(netaddr.MustParseAddr("10.0.0.1"))
+	l.B().SetAddr(netaddr.MustParseAddr("10.0.0.2"))
+	a.SetDefaultRoute(l.A())
+	got := 0
+	b.ListenUDP(9, func(*simnet.Delivery, *packet.UDP) { got++ })
+	p := NewPump(a, netaddr.MustParseAddr("10.0.0.1"), netaddr.MustParseAddr("10.0.0.2"), 9, 8_000_000, 1000)
+	p.Start()
+	s.RunFor(100 * time.Millisecond) // size the queue, the arrival batch and the pools
+	const ticks = 100
+	sent, rcvd := p.Sent, got
+	per := testing.AllocsPerRun(20, func() { s.RunFor(ticks * time.Millisecond) })
+	if n := (p.Sent - sent) / 21; n != ticks || got-rcvd != 21*ticks {
+		t.Fatalf("a measured run sent %d datagrams (want %d) and %d of %d arrived", n, ticks, got-rcvd, 21*ticks)
+	}
+	if per != ticks {
+		t.Fatalf("%d pump ticks, sent and delivered, cost %.0f allocs, want %d (one frame each)", ticks, per, ticks)
+	}
+}
